@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
 """Scaling experiment: cluster seeded mixtures on growing grids.
 
-Prints the timing table and checks that clustering time grows near-linearly
-with pixel count (doubling the side should cost well under the 1.5x-of-4x
-allowance). Writes machine-readable rows next to the table when --json-out
-is given.
+Prints the timing table. Writes machine-readable rows next to the table when
+--json-out is given.
 """
 import argparse
 import pathlib

@@ -9,27 +9,26 @@ from .clustering import (ClusterEdge, ClusterGraph, ClusterMap, ClusterNode,
                          ClusterParams, build_neighborhood_graph,
                          cluster_density_map, initial_clusters,
                          truncate_clusters, union_clusters)
-from .density import (DensityMap, Point2D, PointBatch, Viewport, auto_viewport,
+from .density import (DensityMap, PointBatch, Viewport, auto_viewport,
                       bin_points, default_bandwidth, gaussian_kernel, smooth)
 from .errors import (ClusterNotFoundError, DataError, NoDataError,
                      ParameterError)
 from .geometry import (ClusterShape, PolygonRing, color_clusters,
                        count_color_conflicts, decompose_rectangles,
                        shape_for_cluster, to_data_space, trace_boundary)
-from .labeling import (LabelResult, TermStats, assign_documents, ctfidf_labels,
-                       emit_sql_predicate, term_stats, tokenize)
+from .labeling import (LabelResult, assign_documents, ctfidf_labels,
+                       emit_sql_predicate, tokenize)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClusterEdge", "ClusterGraph", "ClusterMap", "ClusterNode", "ClusterParams",
     "ClusterNotFoundError", "ClusterShape", "DataError", "DensityMap",
-    "LabelResult", "NoDataError", "ParameterError", "Point2D", "PointBatch",
-    "PolygonRing", "TermStats", "Viewport", "assign_documents", "auto_viewport",
-    "bin_points", "build_neighborhood_graph", "cluster_density_map",
-    "color_clusters", "count_color_conflicts", "ctfidf_labels",
-    "decompose_rectangles", "default_bandwidth", "emit_sql_predicate",
-    "gaussian_kernel", "initial_clusters", "shape_for_cluster", "smooth",
-    "term_stats", "to_data_space", "tokenize", "trace_boundary",
-    "truncate_clusters", "union_clusters",
+    "LabelResult", "NoDataError", "ParameterError", "PointBatch", "PolygonRing",
+    "Viewport", "assign_documents", "auto_viewport", "bin_points",
+    "build_neighborhood_graph", "cluster_density_map", "color_clusters",
+    "count_color_conflicts", "ctfidf_labels", "decompose_rectangles",
+    "default_bandwidth", "emit_sql_predicate", "gaussian_kernel",
+    "initial_clusters", "shape_for_cluster", "smooth", "to_data_space",
+    "tokenize", "trace_boundary", "truncate_clusters", "union_clusters",
 ]

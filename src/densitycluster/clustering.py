@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,9 @@ class ClusterMap:
     peak_hint caches the linear pixel index of each cluster's peak, indexed by
     cluster id (-1 for dead ids). It is an optimization carried along the
     pipeline; maps built by hand work without it.
+
+    ids must not be modified after construction: runs is computed from them
+    once and cached.
     """
 
     ids: np.ndarray
@@ -106,6 +110,41 @@ class ClusterMap:
         """Sorted ids present in the map."""
         present = self.ids[self.ids >= 0]
         return np.unique(present)
+
+    @cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(val, row, x0, x1) of every maximal same-id run [x0, x1) in a row.
+
+        Background runs are excluded. Runs are sorted by (val, row, x0), so
+        the runs of one cluster form one contiguous slice.
+        """
+        ids2 = self.ids
+        h, w = ids2.shape
+        change_y, change_x = np.nonzero(ids2[:, 1:] != ids2[:, :-1])
+        runs_per_row = np.bincount(change_y, minlength=h) + 1
+        bounds = np.zeros(h + 1, dtype=np.int64)
+        np.cumsum(runs_per_row, out=bounds[1:])
+        x0 = np.zeros(bounds[-1], dtype=np.int64)
+        is_first = np.zeros(bounds[-1], dtype=bool)
+        is_first[bounds[:-1]] = True
+        x0[~is_first] = change_x + 1
+        row = np.repeat(np.arange(h, dtype=np.int64), runs_per_row)
+        x1 = np.empty_like(x0)
+        x1[:-1] = x0[1:]
+        x1[bounds[1:] - 1] = w
+        val = ids2[row, x0].astype(np.int64)
+        keep = np.flatnonzero(val >= 0)
+        order = keep[np.argsort(val[keep], kind="stable")]
+        return val[order], row[order], x0[order], x1[order]
+
+
+def run_pixels(row: np.ndarray, x0: np.ndarray, x1: np.ndarray,
+               width: int) -> np.ndarray:
+    """Linear indices row * width + x of every pixel covered by the runs."""
+    lengths = x1 - x0
+    skip = np.cumsum(lengths) - lengths
+    return (np.repeat(row * width + x0 - skip, lengths)
+            + np.arange(int(lengths.sum()), dtype=np.int64))
 
 
 @dataclass
@@ -134,9 +173,6 @@ class ClusterEdge:
     def score(self) -> float:
         return min(self.nearest_dist.values())
 
-    def nearest_boundary_to_peak(self, cluster_id: int) -> float:
-        return self.nearest_dist[cluster_id]
-
 
 @dataclass
 class ClusterGraph:
@@ -149,9 +185,6 @@ class ClusterGraph:
             adj[a].append(b)
             adj[b].append(a)
         return adj
-
-    def degree(self, cluster_id: int) -> int:
-        return sum(1 for k in self.edges if cluster_id in k)
 
 
 def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
@@ -493,72 +526,6 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     return ClusterGraph(out_nodes, out_edges), new_cmap
 
 
-def _run_components(ids2: np.ndarray, connectivity: int):
-    """Connected components of same-id pixel runs.
-
-    Returns (row_start, run_x0, run_x1, run_val, run_root) where row_start[y]
-    slices the per-row runs and run_root maps each run to its component
-    representative.
-    """
-    h, w = ids2.shape
-    # maximal constant runs per row, extracted in one vectorized pass
-    change_y, change_x = np.nonzero(ids2[:, 1:] != ids2[:, :-1])
-    runs_per_row = np.bincount(change_y, minlength=h) + 1
-    total = int(runs_per_row.sum())
-    bounds = np.zeros(h + 1, dtype=np.int64)
-    np.cumsum(runs_per_row, out=bounds[1:])
-    all_x0 = np.zeros(total, dtype=np.int64)
-    is_first = np.zeros(total, dtype=bool)
-    is_first[bounds[:-1]] = True
-    all_x0[~is_first] = change_x + 1
-    all_row = np.repeat(np.arange(h, dtype=np.int64), runs_per_row)
-    all_x1 = np.empty(total, dtype=np.int64)
-    if total > 1:
-        all_x1[:-1] = all_x0[1:]
-    all_x1[bounds[1:] - 1] = w
-    all_val = ids2[all_row, all_x0]
-
-    keep = all_val >= 0
-    run_x0 = all_x0[keep]
-    run_x1 = all_x1[keep]
-    run_val = all_val[keep]
-    run_row = all_row[keep]
-    n_runs = run_x0.shape[0]
-    row_start = np.zeros(h + 1, dtype=np.int64)
-    np.cumsum(np.bincount(run_row, minlength=h), out=row_start[1:])
-
-    parent = list(range(n_runs))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    if n_runs:
-        # candidates in the row above: x1 > x0[j] - pad and x0 < x1[j] + pad.
-        # composite keys row*(w+2)+x are strictly increasing over the run
-        # list, so one global searchsorted finds every candidate range
-        pad = 1 if connectivity == 8 else 0
-        base = np.int64(w + 2)
-        comp_x0 = run_row * base + run_x0
-        comp_x1 = run_row * base + run_x1
-        tgt = (run_row - 1) * base
-        first = np.searchsorted(comp_x1, tgt + (run_x0 - pad), side="right")
-        last = np.searchsorted(comp_x0, tgt + (run_x1 + pad), side="left")
-        for j in np.flatnonzero((run_row >= 1) & (last > first)).tolist():
-            vj = run_val[j]
-            for i in range(first[j], last[j]):
-                if run_val[i] == vj:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-
-    run_root = np.fromiter((find(i) for i in range(n_runs)), dtype=np.int64,
-                           count=n_runs)
-    return row_start, run_x0, run_x1, run_val, run_root
-
-
 def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph,
                       params: ClusterParams) -> tuple[ClusterGraph, ClusterMap]:
     """Apply the per-cluster density floor and keep only each peak's component.
@@ -591,32 +558,58 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
     if fg.size:
         keep = d.ravel()[fg] >= thr[flat[fg]]
         new_flat[fg[keep]] = flat[fg[keep]]
+    val, row, x0, x1 = ClusterMap(new_flat.reshape(h, w)).runs
+
+    # Same-cluster runs that touch in consecutive rows. Composite keys
+    # (val*(h+1) + row)*(w+2) + x increase strictly over the run table, and
+    # the row above row 0 maps to no row at all, so one global searchsorted
+    # finds, for each run, the candidate range among its own cluster's runs
+    # in the row above: x1 > x0[j] - pad and x0 < x1[j] + pad.
+    pad = 1 if params.connectivity == 8 else 0
+    base = np.int64(w + 2)
+    line = val * (h + 1) + row
+    tgt = (line - 1) * base
+    first = np.searchsorted(line * base + x1, tgt + x0 - pad, side="right")
+    last = np.searchsorted(line * base + x0, tgt + x1 + pad, side="left")
+    n_cand = last - first
+    below = np.repeat(np.arange(val.shape[0]), n_cand)
+    above = (np.repeat(first - (np.cumsum(n_cand) - n_cand), n_cand)
+             + np.arange(below.shape[0]))
+
+    parent = list(range(val.shape[0]))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(above.tolist(), below.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    root = np.fromiter((find(i) for i in range(val.shape[0])), dtype=np.int64,
+                       count=val.shape[0])
+
+    # the run holding each surviving peak
+    live = np.flatnonzero(peak_lin >= 0)
+    py, px = np.divmod(peak_lin[live], w)
+    at = np.searchsorted(line * base + x0, (live * (h + 1) + py) * base + px,
+                         side="right") - 1
+    found = at >= 0
+    a = at[found]
+    found[found] = (val[a] == live[found]) & (row[a] == py[found]) & (x1[a] > px[found])
+    if not found.all():
+        raise AssertionError("peak pixel lost during truncation")
+    keep_root = np.full(n_ids, -1, dtype=np.int64)
+    keep_root[live] = root[at]
+
+    # clear fragments that are not the peak's component (the map that made
+    # the run table is already dropped, so editing its ids is safe)
+    kept = root == keep_root[val]
+    new_flat[run_pixels(row[~kept], x0[~kept], x1[~kept], w)] = -1
     new2d = new_flat.reshape(h, w)
-
-    row_start, run_x0, run_x1, run_val, run_root = _run_components(
-        new2d, params.connectivity)
-
-    # locate each surviving peak's run
-    keep_root = {}
-    for cid in graph.nodes:
-        pl = peak_lin[cid]
-        if pl < 0:
-            continue
-        py, px = int(pl // w), int(pl % w)
-        a0, a1 = row_start[py], row_start[py + 1]
-        i = a0 + int(np.searchsorted(run_x0[a0:a1], px, side="right")) - 1
-        if i < a0 or run_x1[i] <= px or run_val[i] != cid:
-            raise AssertionError("peak pixel lost during truncation")
-        keep_root[cid] = run_root[i]
-
-    # clear fragments that are not the peak's component
-    for y in range(h):
-        for i in range(row_start[y], row_start[y + 1]):
-            cid = int(run_val[i])
-            if run_root[i] != keep_root.get(cid, -2):
-                new2d[y, run_x0[i]:run_x1[i]] = -1
-
-    areas = np.bincount(new2d.ravel()[new2d.ravel() >= 0], minlength=n_ids)
+    areas = np.bincount(val[kept], weights=x1[kept] - x0[kept], minlength=n_ids)
     hint = np.full(n_ids, -1, dtype=np.int64)
     out_nodes: dict[int, ClusterNode] = {}
     for cid in sorted(graph.nodes):

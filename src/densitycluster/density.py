@@ -27,18 +27,9 @@ DEFAULT_PADDING_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
-class Point2D:
-    """One projected data point; weight scales its contribution to the grid."""
-
-    x: float
-    y: float
-    weight: float = 1.0
-    text: str | None = None
-
-
-@dataclass(frozen=True)
 class PointBatch:
-    """Column-oriented twin of a Point2D sequence, for bulk operations."""
+    """Projected data points as columns; weight scales a point's contribution
+    to the grid."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -47,23 +38,6 @@ class PointBatch:
 
     def __len__(self) -> int:
         return int(self.xs.shape[0])
-
-    @classmethod
-    def from_points(cls, points) -> "PointBatch":
-        xs = np.fromiter((p.x for p in points), dtype=np.float64, count=len(points))
-        ys = np.fromiter((p.y for p in points), dtype=np.float64, count=len(points))
-        ws = np.fromiter((p.weight for p in points), dtype=np.float64, count=len(points))
-        texts = [p.text for p in points]
-        if all(t is None for t in texts):
-            texts = None
-        return cls(xs, ys, ws, texts)
-
-
-def as_batch(points) -> PointBatch:
-    """Accept either a PointBatch or any sequence of Point2D."""
-    if isinstance(points, PointBatch):
-        return points
-    return PointBatch.from_points(list(points))
 
 
 @dataclass(frozen=True)
@@ -149,7 +123,7 @@ class DensityMap:
         return self.viewport.height
 
 
-def auto_viewport(points, width: int, height: int,
+def auto_viewport(points: PointBatch, width: int, height: int,
                   padding_fraction: float = DEFAULT_PADDING_FRACTION) -> Viewport:
     """Bounding box of the points, expanded by padding_fraction per side.
 
@@ -160,11 +134,10 @@ def auto_viewport(points, width: int, height: int,
         raise ParameterError("grid dimensions must be >= 1")
     if not (0 <= padding_fraction < 1):
         raise ParameterError("padding_fraction must be in [0, 1)")
-    batch = as_batch(points)
-    finite = np.isfinite(batch.xs) & np.isfinite(batch.ys)
-    if len(batch) == 0 or not finite.any():
+    finite = np.isfinite(points.xs) & np.isfinite(points.ys)
+    if len(points) == 0 or not finite.any():
         raise NoDataError("no data: cannot derive a viewport from an empty point set")
-    xs, ys = batch.xs[finite], batch.ys[finite]
+    xs, ys = points.xs[finite], points.ys[finite]
 
     def _axis(lo: float, hi: float) -> tuple[float, float]:
         if lo == hi:
@@ -177,27 +150,26 @@ def auto_viewport(points, width: int, height: int,
     return Viewport(x_min, x_max, y_min, y_max, width, height)
 
 
-def bin_points(points, viewport: Viewport) -> DensityMap:
+def bin_points(points: PointBatch, viewport: Viewport) -> DensityMap:
     """Accumulate point weights into the pixel grid.
 
     Points outside the viewport are dropped; points exactly on the x_max/y_max
     edge land in the last column/row. Non-finite coordinates are skipped with
     a counted warning. The grid total equals the total in-viewport weight.
     """
-    batch = as_batch(points)
     w, h = viewport.width, viewport.height
-    if len(batch) == 0:
+    if len(points) == 0:
         return DensityMap(viewport, np.zeros((h, w)))
-    if (batch.weights < 0).any():
+    if (points.weights < 0).any():
         raise DataError("point weights must be non-negative")
 
-    finite = (np.isfinite(batch.xs) & np.isfinite(batch.ys)
-              & np.isfinite(batch.weights))
-    n_bad = int(len(batch) - finite.sum())
+    finite = (np.isfinite(points.xs) & np.isfinite(points.ys)
+              & np.isfinite(points.weights))
+    n_bad = int(len(points) - finite.sum())
     if n_bad:
         warnings.warn(f"bin_points: skipped {n_bad} point(s) with non-finite values")
 
-    xs, ys, ws = batch.xs[finite], batch.ys[finite], batch.weights[finite]
+    xs, ys, ws = points.xs[finite], points.ys[finite], points.weights[finite]
     inside = ((xs >= viewport.x_min) & (xs <= viewport.x_max)
               & (ys >= viewport.y_min) & (ys <= viewport.y_max))
     xs, ys, ws = xs[inside], ys[inside], ws[inside]

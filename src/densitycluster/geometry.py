@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterGraph, ClusterMap
+from .clustering import ClusterGraph, ClusterMap, run_pixels
 from .density import Viewport
 from .errors import ClusterNotFoundError, DataError, ParameterError
 
@@ -57,14 +57,23 @@ class ClusterShape:
     rects: list[tuple[float, float, float, float]] = field(default_factory=list)
 
 
-def _region_mask(cmap: ClusterMap, cluster_id: int):
-    mask = cmap.ids == cluster_id
-    if not mask.any():
+def _region_runs(cmap: ClusterMap, cluster_id: int):
+    """(row, x0, x1) of the cluster's runs, sorted by (row, x0)."""
+    val, row, x0, x1 = cmap.runs
+    a, b = np.searchsorted(val, (cluster_id, cluster_id + 1))
+    if a == b:
         raise ClusterNotFoundError(cluster_id)
-    ys, xs = np.nonzero(mask)
-    y0, y1 = int(ys.min()), int(ys.max()) + 1
-    x0, x1 = int(xs.min()), int(xs.max()) + 1
-    return mask[y0:y1, x0:x1], x0, y0
+    return row[a:b], x0[a:b], x1[a:b]
+
+
+def _region_mask(cmap: ClusterMap, cluster_id: int):
+    """The region painted into its bounding-box crop, plus the crop origin."""
+    row, x0, x1 = _region_runs(cmap, cluster_id)
+    oy, ox = int(row[0]), int(x0.min())
+    w = int(x1.max()) - ox
+    mask = np.zeros((int(row[-1]) + 1 - oy, w), dtype=bool)
+    mask.ravel()[run_pixels(row - oy, x0 - ox, x1 - ox, w)] = True
+    return mask, ox, oy
 
 
 def trace_boundary(cmap: ClusterMap, cluster_id: int,
@@ -178,28 +187,17 @@ def decompose_rectangles(cmap: ClusterMap, cluster_id: int
     x-extent merge into one rectangle. Rectangles are (x0, y0, x1, y1)
     half-open pixel bounds, listed by (y0, x0).
     """
-    mask, ox, oy = _region_mask(cmap, cluster_id)
-    h, w = mask.shape
-    rects: list[tuple[int, int, int, int]] = []
-    open_runs: dict[tuple[int, int], int] = {}  # (x0, x1) -> y_start
-    for y in range(h):
-        row = mask[y]
-        change = np.flatnonzero(row[1:] != row[:-1]) + 1
-        bounds = np.concatenate(([0], change, [w]))
-        runs = set()
-        for i in range(len(bounds) - 1):
-            if row[bounds[i]]:
-                runs.add((int(bounds[i]), int(bounds[i + 1])))
-        for span, y_start in list(open_runs.items()):
-            if span not in runs:
-                rects.append((span[0], y_start, span[1], y))
-                del open_runs[span]
-        for span in runs:
-            open_runs.setdefault(span, y)
-    for span, y_start in open_runs.items():
-        rects.append((span[0], y_start, span[1], h))
-    rects.sort(key=lambda r: (r[1], r[0]))
-    return [(x0 + ox, y0 + oy, x1 + ox, y1 + oy) for x0, y0, x1, y1 in rects]
+    row, x0, x1 = _region_runs(cmap, cluster_id)
+    order = np.lexsort((row, x1, x0))
+    row, x0, x1 = row[order], x0[order], x1[order]
+    # a rect starts where the span changes or the previous row is missing
+    start = np.ones(row.shape[0], dtype=bool)
+    start[1:] = (x0[1:] != x0[:-1]) | (x1[1:] != x1[:-1]) | (row[1:] != row[:-1] + 1)
+    first = np.flatnonzero(start)
+    last = np.append(first[1:], row.shape[0]) - 1
+    rects = np.stack([x0[first], row[first], x1[first], row[last] + 1], axis=1)
+    rects = rects[np.lexsort((rects[:, 0], rects[:, 1]))]
+    return [tuple(r) for r in rects.tolist()]
 
 
 def to_data_space(shape: ClusterShape, viewport: Viewport) -> ClusterShape:

@@ -197,6 +197,10 @@ def read_cluster_document(path) -> dict:
     vp = _expect(doc, "viewport", "", dict)
     for k in ("x_min", "x_max", "y_min", "y_max", "width", "height"):
         _expect(vp, k, "viewport.")
+    try:
+        Viewport.from_dict(vp)
+    except (ParameterError, TypeError, ValueError) as exc:
+        raise DataError(f"cluster JSON: bad viewport ({exc})") from exc
     _expect(doc, "params", "", dict)
     clusters = _expect(doc, "clusters", "", list)
     for i, c in enumerate(clusters):
@@ -208,4 +212,11 @@ def read_cluster_document(path) -> dict:
         _expect(c, "holes", prefix, list)
         _expect(c, "rects", prefix, list)
         _expect(c, "color", prefix)
+    rects = [r for c in clusters for r in c["rects"]]
+    try:
+        ok = not rects or np.asarray(rects, np.float64).shape == (len(rects), 4)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise DataError("cluster JSON: every rect must be 4 numbers")
     return doc

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .density import Viewport, as_batch
+from .density import PointBatch, Viewport
 from .errors import ParameterError
 from .geometry import ClusterShape
 
@@ -35,15 +35,6 @@ def _load_stopwords() -> frozenset[str]:
 
 
 STOPWORDS = _load_stopwords()
-
-
-@dataclass
-class TermStats:
-    """Occurrence counts for one normalized token."""
-
-    term: str
-    per_cluster_count: dict[int, int]
-    corpus_count: int
 
 
 @dataclass
@@ -77,7 +68,7 @@ def _count_tokens(texts) -> Counter:
     return counts
 
 
-def assign_documents(points, shapes: list[ClusterShape],
+def assign_documents(points: PointBatch, shapes: list[ClusterShape],
                      viewport: Viewport) -> dict[int, np.ndarray]:
     """Attach each document index to the cluster whose rectangle contains it.
 
@@ -85,8 +76,7 @@ def assign_documents(points, shapes: list[ClusterShape],
     data-space rects; rects of distinct clusters are disjoint, so at most one
     cluster matches. Unmatched documents stay unassigned.
     """
-    batch = as_batch(points)
-    n = len(batch)
+    n = len(points)
     result: dict[int, list] = {s.cluster_id: [] for s in shapes}
     rx0, ry0, rx1, ry1, rcid = [], [], [], [], []
     for s in shapes:
@@ -119,7 +109,7 @@ def assign_documents(points, shapes: list[ClusterShape],
         block = grid.reshape(h, w)[py0:py1, px0:px1]
         block[...] = i
 
-    xs, ys = batch.xs, batch.ys
+    xs, ys = points.xs, points.ys
     finite = np.isfinite(xs) & np.isfinite(ys)
     px = np.zeros(n, dtype=np.int64)
     py = np.zeros(n, dtype=np.int64)
@@ -158,23 +148,6 @@ def assign_documents(points, shapes: list[ClusterShape],
     for cid in sorted(result):
         out[cid] = np.flatnonzero(assigned == cid)
     return out
-
-
-def term_stats(assignment: dict[int, np.ndarray], documents) -> dict[str, TermStats]:
-    """Per-term counts per cluster and over the whole corpus."""
-    corpus = _count_tokens(documents)
-    per_cluster: dict[int, Counter] = {}
-    for cid in sorted(assignment):
-        per_cluster[cid] = _count_tokens(documents[i] for i in assignment[cid])
-    stats = {}
-    for term in sorted(corpus):
-        stats[term] = TermStats(
-            term=term,
-            per_cluster_count={cid: c[term] for cid, c in per_cluster.items()
-                               if c[term] > 0},
-            corpus_count=corpus[term],
-        )
-    return stats
 
 
 def ctfidf_labels(assignment: dict[int, np.ndarray], documents,

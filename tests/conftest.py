@@ -4,7 +4,8 @@ import pytest
 
 from densitycluster.clustering import (NEIGHBOR_OFFSETS, ClusterMap,
                                        ClusterParams)
-from densitycluster.density import DensityMap, Viewport, bin_points, smooth
+from densitycluster.density import (DensityMap, PointBatch, Viewport,
+                                    bin_points, smooth)
 from densitycluster.synth import (GaussianMixture, mixture_density,
                                   random_mixture, sample_mixture)
 
@@ -62,6 +63,17 @@ def sampled_map(seed: int, size: int, n_points: int = 20000,
     return smooth(bin_points(batch, vp), 0.01 * size)
 
 
+def uniform_map(seed: int, size: int, per_pixel: float,
+                bandwidth: float) -> DensityMap:
+    # uniform points under a narrow kernel: many small clusters sharing
+    # boundaries, adversarial for per-cluster and per-edge work
+    rng = np.random.default_rng(seed)
+    n = int(per_pixel * size * size)
+    batch = PointBatch(rng.uniform(0, size, n), rng.uniform(0, size, n), np.ones(n))
+    vp = Viewport(0.0, float(size), 0.0, float(size), size, size)
+    return smooth(bin_points(batch, vp), bandwidth)
+
+
 @pytest.fixture(scope="session")
 def fixture_corpus():
     """(name, DensityMap, ClusterParams) triples exercised by corpus-wide checks."""
@@ -78,6 +90,9 @@ def fixture_corpus():
         ("noise_4conn", noisy_map(9, 64, bandwidth=2.0),
          ClusterParams(connectivity=4, truncation_ratio=0.25)),
         ("sampled", sampled_map(13, 96), ClusterParams()),
+        # 98 clusters and 221 edges
+        ("many_clusters", uniform_map(17, 64, 0.2, 1.0),
+         ClusterParams(merge_distance_px=0.0)),
     ]
 
 

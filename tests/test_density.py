@@ -2,33 +2,39 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densitycluster.density import (DensityMap, Point2D, PointBatch, Viewport,
+from densitycluster.density import (DensityMap, PointBatch, Viewport,
                                     auto_viewport, bin_points, gaussian_kernel,
                                     smooth)
 from densitycluster.errors import DataError, NoDataError, ParameterError
 from densitycluster.oracles import dense_convolution_oracle
 
 
+def _batch(xs, ys, weights=None):
+    weights = np.ones(len(xs)) if weights is None else weights
+    return PointBatch(np.array(xs, dtype=float), np.array(ys, dtype=float),
+                      np.array(weights, dtype=float))
+
+
 def test_auto_viewport_exact_bbox():
-    vp = auto_viewport([Point2D(0, 0), Point2D(10, 10)], 16, 16, 0.0)
+    vp = auto_viewport(_batch([0, 10], [0, 10]), 16, 16, 0.0)
     assert (vp.x_min, vp.x_max, vp.y_min, vp.y_max) == (0, 10, 0, 10)
 
 
 def test_auto_viewport_padding():
-    vp = auto_viewport([Point2D(0, 0), Point2D(10, 10)], 16, 16, 0.1)
+    vp = auto_viewport(_batch([0, 10], [0, 10]), 16, 16, 0.1)
     assert (vp.x_min, vp.x_max, vp.y_min, vp.y_max) == (-1, 11, -1, 11)
 
 
 def test_auto_viewport_degenerate_axis():
-    vp = auto_viewport([Point2D(3, 7), Point2D(3, 7)], 4, 4, 0.0)
+    vp = auto_viewport(_batch([3, 3], [7, 7]), 4, 4, 0.0)
     assert (vp.x_min, vp.x_max, vp.y_min, vp.y_max) == (2.5, 3.5, 6.5, 7.5)
 
 
 def test_auto_viewport_empty_is_error():
     with pytest.raises(NoDataError):
-        auto_viewport([], 8, 8)
+        auto_viewport(_batch([], []), 8, 8)
     with pytest.raises(ParameterError):
-        auto_viewport([Point2D(0, 0)], 8, 8, padding_fraction=1.0)
+        auto_viewport(_batch([0], [0]), 8, 8, padding_fraction=1.0)
 
 
 def test_viewport_validation():
@@ -40,20 +46,20 @@ def test_viewport_validation():
 
 def test_bin_points_one_per_cell():
     vp = Viewport(0, 2, 0, 2, 2, 2)
-    pts = [Point2D(0.5, 0.5), Point2D(1.5, 0.5), Point2D(0.5, 1.5), Point2D(1.5, 1.5)]
+    pts = _batch([0.5, 1.5, 0.5, 1.5], [0.5, 0.5, 1.5, 1.5])
     dm = bin_points(pts, vp)
     assert np.array_equal(dm.values, np.ones((2, 2)))
     assert dm.values.sum() == 4
 
 
 def test_bin_points_empty():
-    dm = bin_points([], Viewport(0, 1, 0, 1, 3, 3))
+    dm = bin_points(_batch([], []), Viewport(0, 1, 0, 1, 3, 3))
     assert not dm.values.any()
 
 
 def test_bin_points_max_edge_inclusive_and_outside_dropped():
     vp = Viewport(0, 2, 0, 2, 2, 2)
-    dm = bin_points([Point2D(2.0, 2.0), Point2D(2.1, 0.5), Point2D(-0.1, 0.5)], vp)
+    dm = bin_points(_batch([2.0, 2.1, -0.1], [2.0, 0.5, 0.5]), vp)
     assert dm.values[1, 1] == 1.0
     assert dm.values.sum() == 1.0
 
@@ -68,7 +74,7 @@ def test_bin_points_mass_conservation_large():
 
 def test_bin_points_nonfinite_skipped_with_warning():
     vp = Viewport(0, 1, 0, 1, 2, 2)
-    pts = [Point2D(0.5, 0.5), Point2D(np.nan, 0.5), Point2D(np.inf, 0.1)]
+    pts = _batch([0.5, np.nan, np.inf], [0.5, 0.5, 0.1])
     with pytest.warns(UserWarning, match="2 point"):
         dm = bin_points(pts, vp)
     assert dm.values.sum() == 1.0
@@ -76,7 +82,7 @@ def test_bin_points_nonfinite_skipped_with_warning():
 
 def test_bin_points_negative_weight_rejected():
     with pytest.raises(DataError):
-        bin_points([Point2D(0.5, 0.5, weight=-1.0)], Viewport(0, 1, 0, 1, 2, 2))
+        bin_points(_batch([0.5], [0.5], [-1.0]), Viewport(0, 1, 0, 1, 2, 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -86,7 +92,8 @@ def test_bin_points_negative_weight_rejected():
                 min_size=0, max_size=60))
 def test_bin_points_mass_conservation_property(rows):
     vp = Viewport(0, 8, 0, 8, 7, 5)
-    pts = [Point2D(x, y, weight=float(wt)) for x, y, wt in rows]
+    pts = _batch([x for x, _, _ in rows], [y for _, y, _ in rows],
+                 [float(wt) for _, _, wt in rows])
     dm = bin_points(pts, vp)
     assert dm.values.sum() == sum(wt for _, _, wt in rows)
     assert (dm.values >= 0).all()

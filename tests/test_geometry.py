@@ -237,7 +237,7 @@ def test_color_corpus_no_conflicts_with_big_palette(fixture_corpus):
         cmap, graph = cluster_density_map(dm, params)
         if not graph.nodes:
             continue
-        max_degree = max((graph.degree(c) for c in graph.nodes), default=0)
+        max_degree = max(map(len, graph.adjacency().values()), default=0)
         colors = color_clusters(graph, max(max_degree + 1, 1))
         assert count_color_conflicts(graph, colors) == 0, name
         colors10 = color_clusters(graph, 10)

@@ -154,6 +154,32 @@ def test_cli_exit_codes(tmp_path):
     assert main(["bench", "--sizes", "32"]) == 1        # sizes must be >= 64
 
 
+def _invert_viewport(doc):
+    vp = doc["viewport"]
+    vp["x_min"], vp["x_max"] = vp["x_max"], vp["x_min"]
+
+
+def _three_number_rect(doc):
+    doc["clusters"][0]["rects"][0] = doc["clusters"][0]["rects"][0][:3]
+
+
+@pytest.mark.parametrize("fault", [_invert_viewport, _three_number_rect],
+                         ids=["inverted_viewport", "three_number_rect"])
+@pytest.mark.parametrize("command", ["render", "sql", "label"])
+def test_cli_bad_cluster_document_is_data_error(tmp_path, command, fault):
+    doc = json.load(open(DATA / "two_gaussians_clusters.json"))
+    fault(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "render": ["render", "--output", str(tmp_path / "out.svg")],
+        "sql": ["sql", "--cluster-id", str(doc["clusters"][0]["id"])],
+        "label": ["label", "--input", str(FIXTURE_CSV), "--text-col", "text",
+                  "--output", str(tmp_path / "labels.json")],
+    }[command]
+    assert main(argv + ["--cluster-json", str(bad)]) == 3
+
+
 def test_cli_render_golden_bytes(tmp_path):
     svg = tmp_path / "out.svg"
     rc = main(["render", "--cluster-json",

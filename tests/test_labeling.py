@@ -12,7 +12,7 @@ from densitycluster.geometry import (ClusterShape, PolygonRing,
                                      shape_for_cluster, to_data_space)
 from densitycluster.labeling import (STOPWORDS, assign_documents,
                                      ctfidf_labels, emit_sql_predicate,
-                                     format_number, term_stats, tokenize)
+                                     format_number, tokenize)
 
 from conftest import three_blob
 
@@ -168,16 +168,6 @@ def test_ctfidf_deterministic_tie_order():
     assert [t for t, _ in labels[0].top_terms] == ["alpha", "zeta"]  # tie -> lexicographic
     again = ctfidf_labels(assignment, docs, k=2)
     assert labels[0].top_terms == again[0].top_terms
-
-
-def test_term_stats_counts():
-    docs = ["alpha beta", "beta gamma", "delta"]
-    assignment = {0: np.array([0]), 1: np.array([1])}
-    stats = term_stats(assignment, docs)
-    assert stats["beta"].per_cluster_count == {0: 1, 1: 1}
-    assert stats["beta"].corpus_count == 2
-    assert stats["delta"].per_cluster_count == {}  # unclustered occurrence
-    assert stats["delta"].corpus_count == 1
 
 
 # ----------------------------------------------------------------- SQL
