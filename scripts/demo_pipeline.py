@@ -6,7 +6,6 @@ full CLI pipeline: cluster -> render (with density underlay) -> label ->
 one SQL predicate. Outputs land in ./demo_out by default.
 """
 import argparse
-import json
 import pathlib
 import sys
 
@@ -16,6 +15,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np
 
 from densitycluster.cli import main as cli_main
+from densitycluster.io import read_cluster_document
 from densitycluster.synth import random_mixture, sample_mixture
 
 WORDS = ["harbor", "violin", "basalt", "nebula", "sonnet", "glacier",
@@ -61,8 +61,7 @@ def main():
         if rc != 0:
             raise SystemExit(rc)
 
-    doc = json.load(open(clusters))
-    first = doc["clusters"][0]["id"]
+    first = read_cluster_document(clusters).clusters[0].id
     print(f"\nSQL predicate for cluster {first}:")
     cli_main(["sql", "--cluster-json", str(clusters),
               "--cluster-id", str(first)])

@@ -11,14 +11,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .clustering import ClusterParams, cluster_density_map
-from .density import (DEFAULT_PADDING_FRACTION, Viewport, auto_viewport,
-                      bin_points, default_bandwidth, smooth)
+from .density import (DEFAULT_PADDING_FRACTION, auto_viewport, bin_points,
+                      default_bandwidth, smooth)
 from .errors import ClusterNotFoundError, DataError, ParameterError
-from .geometry import (ClusterShape, PolygonRing, color_clusters,
-                       count_color_conflicts, shape_for_cluster, to_data_space)
+from .geometry import (color_clusters, count_color_conflicts,
+                       shape_for_cluster, to_data_space)
 from .io import (cluster_document, load_points, read_cluster_document,
                  read_density_dump, write_density_dump, write_json)
 from .labeling import assign_documents, ctfidf_labels, emit_sql_predicate
@@ -46,6 +46,7 @@ class RunConfig:
     min_peak_density: float = 0.0
     palette: int = 10
     output: str | None = None
+    density_out: str | None = None
     seed: int = 0
 
     def params(self) -> ClusterParams:
@@ -73,43 +74,38 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _resolve(args, key, default=None):
-    """Flag value if given, else config file value, else default."""
+def _resolve(args, key):
+    """Flag value if given, else config file value; None if neither."""
     v = getattr(args, key, None)
     if v is not None:
         return v
-    cfg = getattr(args, "_config", None) or {}
-    if key in cfg:
-        return cfg[key]
-    return default
+    return getattr(args, "_config", {}).get(key)
+
+
+_KINDS = {"str": str, "int": int, "float": float}
 
 
 def _run_config(args) -> RunConfig:
-    inp = _resolve(args, "input")
-    if inp is None:
+    """RunConfig from flags and config values, each coerced to its field type."""
+    values = {}
+    for f in fields(RunConfig):
+        v = _resolve(args, f.name)
+        if v is None:
+            continue
+        kind = _KINDS[f.type.split(" |")[0]]
+        try:
+            accepted = str if kind is str else (int, float)
+            if isinstance(v, bool) or not isinstance(v, accepted):
+                raise TypeError
+            values[f.name] = kind(v)
+        except (TypeError, ValueError, OverflowError):
+            raise ParameterError(f"bad value for {f.name}: {v!r}") from None
+    if "input" not in values:
         raise ParameterError("--input is required")
-    fmt = _resolve(args, "format", "csv")
-    if fmt not in ("csv", "jsonl"):
+    cfg = RunConfig(**values)
+    if cfg.format not in ("csv", "jsonl"):
         raise ParameterError("--format must be csv or jsonl")
-    return RunConfig(
-        input=inp,
-        format=fmt,
-        x_col=_resolve(args, "x_col", "x"),
-        y_col=_resolve(args, "y_col", "y"),
-        weight_col=_resolve(args, "weight_col"),
-        text_col=_resolve(args, "text_col"),
-        width=int(_resolve(args, "width", 512)),
-        height=int(_resolve(args, "height", 512)),
-        bandwidth=_resolve(args, "bandwidth"),
-        padding=float(_resolve(args, "padding", DEFAULT_PADDING_FRACTION)),
-        truncation_ratio=float(_resolve(args, "truncation_ratio", 0.1)),
-        merge_distance=float(_resolve(args, "merge_distance", 8.0)),
-        connectivity=int(_resolve(args, "connectivity", 8)),
-        min_peak_density=float(_resolve(args, "min_peak_density", 0.0)),
-        palette=int(_resolve(args, "palette", 10)),
-        output=_resolve(args, "output"),
-        seed=int(_resolve(args, "seed", 0)),
-    )
+    return cfg
 
 
 def _add_io_flags(p, need_output=True):
@@ -203,30 +199,12 @@ def cmd_cluster(args) -> int:
     if space == "data":
         shapes = [to_data_space(s, vp) for s in shapes]
     doc = cluster_document(vp, params, bandwidth, shapes, graph, colors, space)
-    write_json(cfg.output, doc)
-    density_out = _resolve(args, "density_out")
-    if density_out:
-        write_density_dump(density_out, dm)
+    write_json(cfg.output, doc.to_dict())
+    if cfg.density_out:
+        write_density_dump(cfg.density_out, dm)
     print(f"clusters={len(graph.nodes)} pixels={vp.width * vp.height} "
           f"kde_ms={(t1 - t0) * 1000:.1f} cluster_ms={(t2 - t1) * 1000:.1f}")
     return 0
-
-
-def _doc_shapes(doc) -> list[ClusterShape]:
-    """Rect-bearing shapes from a cluster document, in data space."""
-    vp = Viewport.from_dict(doc["viewport"])
-    pixel_space = doc.get("space") == "pixel"
-    shapes = []
-    for c in doc["clusters"]:
-        outer = PolygonRing(tuple((float(x), float(y)) for x, y in c["outer"]))
-        holes = [PolygonRing(tuple((float(x), float(y)) for x, y in h))
-                 for h in c["holes"]]
-        rects = [tuple(float(v) for v in r) for r in c["rects"]]
-        shape = ClusterShape(int(c["id"]), outer, holes, rects)
-        if pixel_space:
-            shape = to_data_space(shape, vp)
-        shapes.append(shape)
-    return shapes
 
 
 def cmd_render(args) -> int:
@@ -234,15 +212,15 @@ def cmd_render(args) -> int:
     underlay = None
     if args.underlay:
         w, h, underlay = read_density_dump(args.underlay)
-        vp = doc["viewport"]
-        if (w, h) != (vp["width"], vp["height"]):
+        vp = doc.viewport
+        if (w, h) != (vp.width, vp.height):
             raise DataError(
                 f"underlay grid {w}x{h} does not match viewport "
-                f"{vp['width']}x{vp['height']}")
+                f"{vp.width}x{vp.height}")
     svg = render_svg(doc, underlay)
     with open(args.output, "wb") as fh:
         fh.write(svg)
-    print(f"paths={len(doc['clusters'])} bytes={len(svg)}")
+    print(f"paths={len(doc.clusters)} bytes={len(svg)}")
     return 0
 
 
@@ -255,11 +233,10 @@ def cmd_label(args) -> int:
     if args.top_k < 1:
         raise ParameterError("--top-k must be >= 1")
     doc = read_cluster_document(args.cluster_json)
-    vp = Viewport.from_dict(doc["viewport"])
     batch = load_points(cfg.input, cfg.format, cfg.x_col, cfg.y_col,
                         cfg.weight_col, cfg.text_col)
-    shapes = _doc_shapes(doc)
-    assignment = assign_documents(batch, shapes, vp)
+    shapes = [doc.shape(c) for c in doc.clusters]
+    assignment = assign_documents(batch, shapes, doc.viewport)
     texts = batch.texts if batch.texts is not None else [None] * len(batch)
     labels = ctfidf_labels(assignment, texts, args.top_k)
     label_rows = [{"id": lr.cluster_id,
@@ -267,9 +244,9 @@ def cmd_label(args) -> int:
                   for lr in sorted(labels, key=lambda lr: lr.cluster_id)]
     if args.merge:
         by_id = {row["id"]: row["label"] for row in label_rows}
-        for c in doc["clusters"]:
-            c["label"] = by_id.get(c["id"], [])
-        write_json(cfg.output, doc)
+        for c in doc.clusters:
+            c.label = by_id.get(c.id, [])
+        write_json(cfg.output, doc.to_dict())
     else:
         write_json(cfg.output, label_rows)
     assigned = sum(len(v) for v in assignment.values())
@@ -279,9 +256,9 @@ def cmd_label(args) -> int:
 
 def cmd_sql(args) -> int:
     doc = read_cluster_document(args.cluster_json)
-    for shape in _doc_shapes(doc):
-        if shape.cluster_id == args.cluster_id:
-            print(emit_sql_predicate(shape, args.x_col, args.y_col))
+    for c in doc.clusters:
+        if c.id == args.cluster_id:
+            print(emit_sql_predicate(doc.shape(c), args.x_col, args.y_col))
             return 0
     raise ClusterNotFoundError(args.cluster_id)
 

@@ -60,11 +60,11 @@ class ClusterParams:
     def __post_init__(self):
         if not (0.0 <= self.truncation_ratio < 1.0):
             raise ParameterError("truncation_ratio must be in [0, 1)")
-        if self.merge_distance_px < 0:
+        if not (self.merge_distance_px >= 0):
             raise ParameterError("merge_distance_px must be >= 0")
         if self.connectivity not in (4, 8):
             raise ParameterError("connectivity must be 4 or 8")
-        if self.min_peak_density < 0:
+        if not (self.min_peak_density >= 0):
             raise ParameterError("min_peak_density must be >= 0")
 
     def to_dict(self) -> dict:

@@ -57,10 +57,12 @@ class Viewport:
     height: int
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
+        # a finite total span also rules out infinite extents
+        if not (self.x_min < self.x_max and self.y_min < self.y_max
+                and math.isfinite(self.x_max - self.x_min + self.y_max - self.y_min)):
             raise ParameterError(
-                f"viewport extents must be increasing, got x [{self.x_min}, {self.x_max}],"
-                f" y [{self.y_min}, {self.y_max}]"
+                f"viewport extents must be finite and increasing, got "
+                f"x [{self.x_min}, {self.x_max}], y [{self.y_min}, {self.y_max}]"
             )
         if self.width < 1 or self.height < 1:
             raise ParameterError("viewport must be at least 1x1 pixels")
@@ -95,6 +97,13 @@ class Viewport:
                    int(d["width"]), int(d["height"]))
 
 
+def check_density_values(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise DataError("density values must be finite")
+    if (values < 0).any():
+        raise DataError("density values must be non-negative")
+
+
 @dataclass
 class DensityMap:
     """Non-negative density values on a viewport grid, shape (height, width)."""
@@ -109,10 +118,7 @@ class DensityMap:
             raise DataError(
                 f"density values shape {self.values.shape} does not match viewport ({h}, {w})"
             )
-        if not np.isfinite(self.values).all():
-            raise DataError("density values must be finite")
-        if (self.values < 0).any():
-            raise DataError("density values must be non-negative")
+        check_density_values(self.values)
 
     @property
     def width(self) -> int:
@@ -198,8 +204,8 @@ def smooth(counts: DensityMap, bandwidth_px: float) -> DensityMap:
     Separable x-then-y passes with zero padding at the borders; bandwidth 0
     returns an unchanged copy. Mass is conserved up to border leakage.
     """
-    if bandwidth_px < 0:
-        raise ParameterError("bandwidth_px must be >= 0")
+    if not (0 <= bandwidth_px < math.inf):
+        raise ParameterError("bandwidth_px must be finite and >= 0")
     if bandwidth_px == 0:
         return DensityMap(counts.viewport, counts.values.copy())
     k = gaussian_kernel(bandwidth_px)

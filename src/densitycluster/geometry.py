@@ -115,7 +115,7 @@ def trace_boundary(cmap: ClusterMap, cluster_id: int,
     starts = sorted(out_edges, key=lambda v: (v[1], v[0]))
     prefer_right = connectivity == 8
 
-    rings: list[list[tuple[int, int]]] = []
+    rings: list[PolygonRing] = []
     for sv in starts:
         while out_edges.get(sv):
             direction, cur = _take(out_edges, sv, incoming=None,
@@ -126,20 +126,16 @@ def trace_boundary(cmap: ClusterMap, cluster_id: int,
                                        prefer_right=prefer_right)
                 path.append((cur, direction))
                 cur = nxt
-            rings.append(_corners(path))
+            rings.append(PolygonRing(tuple((float(x + ox), float(y + oy))
+                                           for x, y in _corners(path))))
 
-    outer = [r for r in rings if _shoelace(r) > 0]
-    holes = [r for r in rings if _shoelace(r) < 0]
+    outer = [r for r in rings if not r.is_hole]
     if len(outer) != 1:
         raise DataError(
             f"cluster {cluster_id} region is not connected under "
             f"{connectivity}-connectivity ({len(outer)} outer rings)"
         )
-
-    def _ring(corners):
-        return PolygonRing(tuple((float(x + ox), float(y + oy)) for x, y in corners))
-
-    return ClusterShape(cluster_id, _ring(outer[0]), [_ring(r) for r in holes])
+    return ClusterShape(cluster_id, outer[0], [r for r in rings if r.is_hole])
 
 
 def _take(out_edges, vertex, incoming, prefer_right):
@@ -168,15 +164,6 @@ def _corners(path):
             corners.append(vertex)
     k = min(range(len(corners)), key=lambda i: (corners[i][1], corners[i][0]))
     return corners[k:] + corners[:k]
-
-
-def _shoelace(corners) -> float:
-    s = 0.0
-    for i in range(len(corners)):
-        x0, y0 = corners[i]
-        x1, y1 = corners[(i + 1) % len(corners)]
-        s += x0 * y1 - x1 * y0
-    return 0.5 * s
 
 
 def decompose_rectangles(cmap: ClusterMap, cluster_id: int

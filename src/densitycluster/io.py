@@ -1,19 +1,26 @@
 """File formats: point ingestion, density dumps, cluster and label JSON.
 
+The cluster JSON is owned by ClusterDocument: `cluster_document` builds it,
+`read_cluster_document` validates a file into it, and `to_dict` writes it.
+
 Density dump layout: little-endian, two uint32 (width, height), then
 width*height float32 values row-major.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import struct
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMap, PointBatch, Viewport
+from .density import DensityMap, PointBatch, Viewport, check_density_values
 from .errors import DataError, NoDataError, ParameterError
+from .geometry import ClusterShape, PolygonRing, to_data_space
 
 # loading aborts when more than this fraction of data rows is malformed
 MALFORMED_ROW_LIMIT = 0.01
@@ -139,12 +146,57 @@ def read_density_dump(path) -> tuple[int, int, np.ndarray]:
         raise DataError(
             f"density dump: expected {4 * w * h} payload bytes, found {len(payload)}")
     data = np.frombuffer(payload, dtype="<f4")
+    check_density_values(data)
     return w, h, data.reshape(h, w)
 
 
+@dataclass
+class ClusterRecord:
+    """One cluster of a cluster document; fields in their JSON order."""
+
+    id: int
+    peak: dict
+    area_px: int
+    outer: list        # [[x, y], ...]
+    holes: list        # [[[x, y], ...], ...]
+    rects: list        # [[x0, y0, x1, y1], ...]
+    color: int
+    label: list | None = None
+
+    def to_dict(self) -> dict:
+        return {k: v for k, v in vars(self).items()
+                if k != "label" or v is not None}
+
+
+@dataclass
+class ClusterDocument:
+    """The cluster JSON: geometry in `space` ("data" or "pixel") units.
+
+    Rings and rects are kept as given (the JSON lists when read, the shapes'
+    tuples when built) and are never converted.
+    """
+
+    space: str
+    viewport: Viewport
+    params: dict
+    clusters: list[ClusterRecord]
+
+    def to_dict(self) -> dict:
+        return {"space": self.space, "viewport": self.viewport.to_dict(),
+                "params": self.params,
+                "clusters": [c.to_dict() for c in self.clusters]}
+
+    def shape(self, cluster: ClusterRecord) -> ClusterShape:
+        """The cluster's rings and rects as a data-space ClusterShape."""
+        shape = ClusterShape(cluster.id, PolygonRing(cluster.outer),
+                             [PolygonRing(h) for h in cluster.holes], cluster.rects)
+        return to_data_space(shape, self.viewport) if self.space == "pixel" else shape
+
+
 def cluster_document(viewport: Viewport, params, bandwidth_px: float, shapes,
-                     graph, colors: dict[int, int], space: str = "data") -> dict:
-    """Assemble the cluster output JSON document."""
+                     graph, colors: dict[int, int],
+                     space: str = "data") -> ClusterDocument:
+    """Assemble the cluster document from shapes already in `space` units."""
     clusters = []
     for shape in shapes:
         node = graph.nodes[shape.cluster_id]
@@ -153,23 +205,15 @@ def cluster_document(viewport: Viewport, params, bandwidth_px: float, shapes,
             peak_y = viewport.pixel_to_data_y(node.peak_xy[1] + 0.5)
         else:
             peak_x, peak_y = float(node.peak_xy[0]), float(node.peak_xy[1])
-        clusters.append({
-            "id": shape.cluster_id,
-            "peak": {"x": peak_x, "y": peak_y, "density": node.peak_density},
-            "area_px": node.area_px,
-            "outer": [[x, y] for x, y in shape.outer.vertices],
-            "holes": [[[x, y] for x, y in h.vertices] for h in shape.holes],
-            "rects": [list(r) for r in shape.rects],
-            "color": colors[shape.cluster_id],
-        })
+        clusters.append(ClusterRecord(
+            shape.cluster_id,
+            {"x": peak_x, "y": peak_y, "density": node.peak_density},
+            node.area_px, shape.outer.vertices,
+            [h.vertices for h in shape.holes], shape.rects,
+            colors[shape.cluster_id]))
     params_dict = params.to_dict()
     params_dict["bandwidth_px"] = bandwidth_px
-    return {
-        "space": space,
-        "viewport": viewport.to_dict(),
-        "params": params_dict,
-        "clusters": clusters,
-    }
+    return ClusterDocument(space, viewport, params_dict, clusters)
 
 
 def write_json(path, doc) -> None:
@@ -182,13 +226,26 @@ def _expect(doc, key, path, kind=None):
     if not isinstance(doc, dict) or key not in doc:
         raise DataError(f"cluster JSON: missing field {path}{key}")
     val = doc[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise DataError(f"cluster JSON: field {path}{key} has wrong type")
     return val
 
 
-def read_cluster_document(path) -> dict:
-    """Load and structurally validate a cluster JSON document."""
+def _check_numbers(items, arity, what) -> None:
+    """Every item is a sequence of `arity` finite numbers."""
+    try:
+        # sum() rejects any non-number and is finite only if every term is
+        # (an overflowing total rejects absurd magnitudes as well)
+        ok = (set(map(len, items)) <= {arity}
+              and math.isfinite(sum(itertools.chain.from_iterable(items))))
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise DataError(f"cluster JSON: every {what} must be {arity} finite numbers")
+
+
+def read_cluster_document(path) -> ClusterDocument:
+    """Load a cluster JSON document and validate it into a ClusterDocument."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -198,25 +255,28 @@ def read_cluster_document(path) -> dict:
     for k in ("x_min", "x_max", "y_min", "y_max", "width", "height"):
         _expect(vp, k, "viewport.")
     try:
-        Viewport.from_dict(vp)
-    except (ParameterError, TypeError, ValueError) as exc:
+        viewport = Viewport.from_dict(vp)
+    except (ParameterError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"cluster JSON: bad viewport ({exc})") from exc
-    _expect(doc, "params", "", dict)
-    clusters = _expect(doc, "clusters", "", list)
-    for i, c in enumerate(clusters):
-        prefix = f"clusters[{i}]."
-        _expect(c, "id", prefix)
-        _expect(c, "peak", prefix, dict)
-        _expect(c, "area_px", prefix)
-        _expect(c, "outer", prefix, list)
-        _expect(c, "holes", prefix, list)
-        _expect(c, "rects", prefix, list)
-        _expect(c, "color", prefix)
-    rects = [r for c in clusters for r in c["rects"]]
-    try:
-        ok = not rects or np.asarray(rects, np.float64).shape == (len(rects), 4)
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise DataError("cluster JSON: every rect must be 4 numbers")
-    return doc
+    space = _expect(doc, "space", "")
+    if space not in ("data", "pixel"):
+        raise DataError("cluster JSON: space must be \"data\" or \"pixel\"")
+    params = _expect(doc, "params", "", dict)
+    clusters = []
+    for i, c in enumerate(_expect(doc, "clusters", "", list)):
+        p = f"clusters[{i}]."
+        clusters.append(ClusterRecord(
+            _expect(c, "id", p, int), _expect(c, "peak", p, dict),
+            _expect(c, "area_px", p), _expect(c, "outer", p, list),
+            _expect(c, "holes", p, list), _expect(c, "rects", p, list),
+            _expect(c, "color", p, int), c.get("label")))
+    if len({c.id for c in clusters}) != len(clusters):
+        raise DataError("cluster JSON: cluster ids must be unique")
+    if any(c.color < 0 for c in clusters):
+        raise DataError("cluster JSON: every color must be >= 0")
+    rings = [r for c in clusters for r in (c.outer, *c.holes)]
+    if not all(type(r) is list for r in rings):
+        raise DataError("cluster JSON: every ring must be a list of vertices")
+    _check_numbers([v for r in rings for v in r], 2, "vertex")
+    _check_numbers([r for c in clusters for r in c.rects], 4, "rect")
+    return ClusterDocument(space, viewport, params, clusters)

@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 
+from .density import Viewport
+from .io import ClusterDocument
 from .labeling import format_number as _fmt
 
 PALETTE10 = (
@@ -36,7 +38,7 @@ def _png_gray(img: np.ndarray) -> bytes:
             + chunk(b"IEND", b""))
 
 
-def _underlay_element(density: np.ndarray, vp: dict) -> str:
+def _underlay_element(density: np.ndarray, vp: Viewport) -> str:
     # brightest pixel maps to full ink; SVG rows run top-down so flip y
     peak = float(density.max())
     if peak > 0:
@@ -46,23 +48,24 @@ def _underlay_element(density: np.ndarray, vp: dict) -> str:
     png = _png_gray(gray[::-1])
     b64 = base64.b64encode(png).decode("ascii")
     return (
-        f'<image x="{_fmt(vp["x_min"])}" y="{_fmt(vp["y_min"])}"'
-        f' width="{_fmt(vp["x_max"] - vp["x_min"])}"'
-        f' height="{_fmt(vp["y_max"] - vp["y_min"])}"'
+        f'<image x="{_fmt(vp.x_min)}" y="{_fmt(vp.y_min)}"'
+        f' width="{_fmt(vp.x_max - vp.x_min)}"'
+        f' height="{_fmt(vp.y_max - vp.y_min)}"'
         f' preserveAspectRatio="none" image-rendering="pixelated"'
         f' href="data:image/png;base64,{b64}"/>'
     )
 
 
-def render_svg(doc: dict, underlay: np.ndarray | None = None) -> bytes:
+def render_svg(doc: ClusterDocument, underlay: np.ndarray | None = None) -> bytes:
     """Render a cluster document to SVG bytes.
 
-    Geometry is drawn in data coordinates with the y axis flipped so that
-    larger data y is higher on screen.
+    Geometry is drawn in data coordinates (pixel-space documents are mapped
+    through the viewport) with the y axis flipped so that larger data y is
+    higher on screen.
     """
-    vp = doc["viewport"]
-    x0, x1 = vp["x_min"], vp["x_max"]
-    y0, y1 = vp["y_min"], vp["y_max"]
+    vp = doc.viewport
+    x0, x1 = vp.x_min, vp.x_max
+    y0, y1 = vp.y_min, vp.y_max
     span_x, span_y = x1 - x0, y1 - y0
     flip = y0 + y1  # y_svg = flip - y_data
 
@@ -76,13 +79,13 @@ def render_svg(doc: dict, underlay: np.ndarray | None = None) -> bytes:
         lines.append(_underlay_element(underlay, vp))
 
     stroke_w = 0.002 * max(span_x, span_y)
-    for cluster in sorted(doc["clusters"], key=lambda c: c["id"]):
-        rings = [cluster["outer"]] + cluster["holes"]
+    for cluster in sorted(doc.clusters, key=lambda c: c.id):
+        shape = doc.shape(cluster)
         d_parts = []
-        for ring in rings:
-            pts = [f"{_fmt(x)},{_fmt(flip - y)}" for x, y in ring]
+        for ring in [shape.outer, *shape.holes]:
+            pts = [f"{_fmt(x)},{_fmt(flip - y)}" for x, y in ring.vertices]
             d_parts.append("M" + "L".join(pts) + "Z")
-        color = PALETTE10[cluster["color"] % len(PALETTE10)]
+        color = PALETTE10[cluster.color % len(PALETTE10)]
         lines.append(
             f'<path d="{"".join(d_parts)}" fill="{color}" fill-opacity="0.55" '
             f'fill-rule="evenodd" stroke="{color}" stroke-width="{_fmt(stroke_w)}"/>'

@@ -29,6 +29,10 @@ def test_params_validation():
         ClusterParams(connectivity=6)
     with pytest.raises(ParameterError):
         ClusterParams(min_peak_density=-0.1)
+    for nan_field in ("truncation_ratio", "merge_distance_px", "min_peak_density"):
+        with pytest.raises(ParameterError):
+            ClusterParams(**{nan_field: float("nan")})
+    ClusterParams(merge_distance_px=float("inf"))  # merges everything touching
 
 
 # ---------------------------------------------------------------- initial

@@ -109,8 +109,9 @@ def test_smooth_zero_bandwidth_is_copy():
 
 def test_smooth_negative_bandwidth_error():
     dm = DensityMap(Viewport(0, 4, 0, 4, 4, 4), np.zeros((4, 4)))
-    with pytest.raises(ParameterError):
-        smooth(dm, -1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            smooth(dm, bad)
 
 
 def _impulse(size, sigma=None):

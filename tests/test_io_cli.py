@@ -1,9 +1,11 @@
 import json
+import math
 import pathlib
 import sqlite3
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densitycluster.cli import main
 from densitycluster.density import DensityMap, Viewport
@@ -104,6 +106,14 @@ def test_density_dump_truncated(tmp_path):
     path.write_bytes(b"\x03\x00\x00\x00\x02\x00\x00\x00\x00\x00")
     with pytest.raises(DataError):
         read_density_dump(path)
+    for bad in (math.nan, math.inf, -1.0):
+        path.write_bytes(_dump_bytes(2, 1, [0.5, bad]))
+        with pytest.raises(DataError):
+            read_density_dump(path)
+
+
+def _dump_bytes(w, h, values):
+    return np.array([w, h], "<u4").tobytes() + np.array(values, "<f4").tobytes()
 
 
 def test_cluster_document_validation(tmp_path):
@@ -131,10 +141,10 @@ def test_cli_cluster_fixture_two_clusters(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "clusters=2" in summary and "pixels=16384" in summary
     doc = read_cluster_document(out)
-    assert len(doc["clusters"]) == 2
-    for c in doc["clusters"]:
-        assert c["rects"] and c["outer"]
-        assert 0 <= c["color"] < 10
+    assert len(doc.clusters) == 2
+    for c in doc.clusters:
+        assert c.rects and c.outer
+        assert 0 <= c.color < 10
 
 
 def test_cli_exit_codes(tmp_path):
@@ -180,6 +190,95 @@ def test_cli_bad_cluster_document_is_data_error(tmp_path, command, fault):
     assert main(argv + ["--cluster-json", str(bad)]) == 3
 
 
+_FIXTURE_DOC = json.loads((DATA / "two_gaussians_clusters.json").read_text())
+
+
+def _mutate(doc, path, value):
+    """Replace (or, for "delete", remove) the item at a key/index path of a
+    JSON document in place."""
+    for key in path[:-1]:
+        doc = doc[key]
+    if value == "delete":
+        del doc[path[-1]]
+    else:
+        doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("clusters", 0, "outer", 0), [1.0]),          # 1-coordinate vertex
+    (("clusters", 0, "color"), "1"),
+    (("clusters", 0, "color"), 1.5),
+    (("clusters", 0, "id"), "92"),
+    (("clusters", 0, "holes"), [[1.0, 2.0]]),      # holes not nested
+    (("clusters", 0, "rects", 0, 2), math.nan),
+    (("clusters", 1, "id"), 92),                   # duplicate id
+], ids=["short_vertex", "str_color", "float_color", "str_id", "flat_holes",
+        "nan_rect", "duplicate_id"])
+@pytest.mark.parametrize("command", ["render", "sql", "label"])
+def test_cli_malformed_cluster_fields_are_data_errors(tmp_path, command, path,
+                                                      value):
+    doc = json.loads(json.dumps(_FIXTURE_DOC))
+    _mutate(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_doc_argv(command, tmp_path) + ["--cluster-json", str(bad)]) == 3
+
+
+def _doc_argv(command, out_dir):
+    return {
+        "render": ["render", "--output", str(out_dir / "out.svg")],
+        "sql": ["sql", "--cluster-id", "92"],
+        "label": ["label", "--input", str(FIXTURE_CSV), "--text-col", "text",
+                  "--output", str(out_dir / "labels.json")],
+    }[command]
+
+
+def _mutation_paths(node, path=()):
+    """Key/index paths to every field, plus the first and last vertex, ring
+    or rect of each list and their numbers."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and node:
+        items = {0: node[0], len(node) - 1: node[-1]}.items()
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append(path + (key,))
+        paths.extend(_mutation_paths(child, path + (key,)))
+    return paths
+
+
+_BAD_VALUES = [None, True, "x", -1, 1.5, math.nan, math.inf, [1.0], {}]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(path=st.sampled_from(_mutation_paths(_FIXTURE_DOC)),
+       value=st.sampled_from(["delete"] + _BAD_VALUES))
+def test_cli_single_field_mutation_never_raises(tmp_path_factory, path, value):
+    doc = json.loads(json.dumps(_FIXTURE_DOC))
+    _mutate(doc, path, value)
+    out_dir = tmp_path_factory.mktemp("mutation")
+    mutated = out_dir / "doc.json"
+    mutated.write_text(json.dumps(doc))
+    for command in ("render", "sql", "label"):
+        argv = _doc_argv(command, out_dir) + ["--cluster-json", str(mutated)]
+        assert main(argv) in (0, 3), (command, path, value)
+
+
+def test_cli_render_pixel_space_matches_data_space(tmp_path):
+    svgs = []
+    for flags in ([], ["--pixel-space"]):
+        doc = tmp_path / f"c{len(flags)}.json"
+        svg = tmp_path / f"c{len(flags)}.svg"
+        assert main(["cluster", "--input", str(FIXTURE_CSV), "--width", "128",
+                     "--height", "128", "--output", str(doc)] + flags) == 0
+        assert main(["render", "--cluster-json", str(doc),
+                     "--output", str(svg)]) == 0
+        svgs.append(svg.read_bytes())
+    assert svgs[0] == svgs[1]
+
+
 def test_cli_render_golden_bytes(tmp_path):
     svg = tmp_path / "out.svg"
     rc = main(["render", "--cluster-json",
@@ -203,6 +302,11 @@ def test_cli_render_underlay_and_mismatch(tmp_path, capsys):
     assert main(["render", "--cluster-json",
                  str(DATA / "two_gaussians_clusters.json"),
                  "--output", str(svg), "--underlay", str(dump)]) == 3
+    # so are non-finite or negative density values
+    for bad in (math.nan, math.inf, -1.0):
+        dump.write_bytes(_dump_bytes(64, 64, [bad] + [0.0] * (64 * 64 - 1)))
+        assert main(["render", "--cluster-json", str(out), "--output", str(svg),
+                     "--underlay", str(dump)]) == 3
 
 
 def test_cli_render_one_path_per_cluster_distinct_adjacent_colors(tmp_path):
@@ -221,7 +325,7 @@ def test_cli_render_one_path_per_cluster_distinct_adjacent_colors(tmp_path):
     colors = color_clusters(graph, 10)
     doc = cluster_document(dm.viewport, params, 0.0, shapes, graph, colors)
     cluster_json = tmp_path / "near.json"
-    write_json(cluster_json, doc)
+    write_json(cluster_json, doc.to_dict())
 
     svg = tmp_path / "g.svg"
     main(["render", "--cluster-json", str(cluster_json), "--output", str(svg)])
@@ -238,7 +342,7 @@ def test_cli_render_one_path_per_cluster_distinct_adjacent_colors(tmp_path):
     doc1 = cluster_document(dm.viewport, ClusterParams(), 0.0, shapes1, graph1,
                             color_clusters(graph1, 10))
     one_json = tmp_path / "one.json"
-    write_json(one_json, doc1)
+    write_json(one_json, doc1.to_dict())
     svg1 = tmp_path / "one.svg"
     main(["render", "--cluster-json", str(one_json), "--output", str(svg1)])
     assert svg1.read_text().count("<path") == 1
@@ -293,15 +397,15 @@ def test_cli_label_requires_text_col(tmp_path):
 
 def test_cli_sql_predicate_runs_in_sqlite(tmp_path, capsys):
     doc = read_cluster_document(DATA / "two_gaussians_clusters.json")
-    cid = doc["clusters"][0]["id"]
+    cid = doc.clusters[0].id
     rc = main(["sql", "--cluster-json", str(DATA / "two_gaussians_clusters.json"),
                "--cluster-id", str(cid)])
     assert rc == 0
     predicate = capsys.readouterr().out.strip()
-    assert predicate.count(" OR ") == len(doc["clusters"][0]["rects"]) - 1
+    assert predicate.count(" OR ") == len(doc.clusters[0].rects) - 1
     con = sqlite3.connect(":memory:")
     con.execute("CREATE TABLE pts (x REAL, y REAL)")
-    peak = doc["clusters"][0]["peak"]
+    peak = doc.clusters[0].peak
     con.execute("INSERT INTO pts VALUES (?, ?)", (peak["x"], peak["y"]))
     con.execute("INSERT INTO pts VALUES (1e9, 1e9)")
     assert con.execute(f"SELECT count(*) FROM pts WHERE {predicate}"
@@ -335,13 +439,30 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
                "--output", str(out)])
     assert rc == 0
     doc = read_cluster_document(out)
-    assert doc["viewport"]["width"] == 96   # flag wins
-    assert doc["viewport"]["height"] == 64  # config fills the rest
+    assert doc.viewport.width == 96   # flag wins
+    assert doc.viewport.height == 64  # config fills the rest
     assert main(["cluster", "--config", str(tmp_path / "missing.json"),
                  "--output", str(out)]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     assert main(["cluster", "--config", str(bad), "--output", str(out)]) == 1
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("width", "abc", 1),
+    ("palette", "a", 1),
+    ("merge_distance", [1], 1),
+    ("bandwidth", "x", 1),
+    ("width", True, 1),
+    ("input", 5, 1),               # not a file name
+    ("width", None, 0),            # null means the key is absent
+])
+def test_cli_config_file_bad_values(tmp_path, key, value, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(FIXTURE_CSV), "width": 64,
+                               "height": 64, key: value}))
+    assert main(["cluster", "--config", str(cfg),
+                 "--output", str(tmp_path / "c.json")]) == code
 
 
 def test_cli_pixel_space_round_trip(tmp_path):
@@ -350,9 +471,9 @@ def test_cli_pixel_space_round_trip(tmp_path):
                "--height", "128", "--output", str(out), "--pixel-space"])
     assert rc == 0
     doc = read_cluster_document(out)
-    assert doc["space"] == "pixel"
-    for c in doc["clusters"]:
-        for x, y in c["outer"]:
+    assert doc.space == "pixel"
+    for c in doc.clusters:
+        for x, y in c.outer:
             assert x == int(x) and y == int(y)
     # labeling converts pixel-space documents internally
     labels = tmp_path / "l.json"
