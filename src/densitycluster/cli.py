@@ -3,7 +3,7 @@
 Subcommands: cluster (points -> cluster JSON), render (cluster JSON -> SVG),
 label (c-TF-IDF labels), sql (WHERE predicate for one cluster), bench
 (seeded timing table). Exit codes: 0 success, 1 usage/config error, 2 I/O
-error, 3 data error.
+error, 3 data error (including inputs too large to allocate).
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ class RunConfig:
     palette: int = 10
     output: str | None = None
     density_out: str | None = None
-    seed: int = 0
 
     def params(self) -> ClusterParams:
         return ClusterParams(
@@ -136,7 +135,6 @@ def build_parser() -> _Parser:
     p.add_argument("--connectivity", type=int, choices=(4, 8))
     p.add_argument("--min-peak-density", dest="min_peak_density", type=float)
     p.add_argument("--palette", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--density-out", dest="density_out",
                    help="also write the smoothed density grid (binary dump)")
     p.add_argument("--pixel-space", dest="pixel_space", action="store_true",
@@ -314,6 +312,9 @@ def main(argv=None) -> int:
         return 3
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

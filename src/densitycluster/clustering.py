@@ -84,8 +84,8 @@ class ClusterMap:
     cluster id (-1 for dead ids). It is an optimization carried along the
     pipeline; maps built by hand work without it.
 
-    ids must not be modified after construction: runs is computed from them
-    once and cached.
+    ids must not be modified after construction: runs and boundary are
+    computed from them once and cached.
     """
 
     ids: np.ndarray
@@ -118,24 +118,70 @@ class ClusterMap:
         Background runs are excluded. Runs are sorted by (val, row, x0), so
         the runs of one cluster form one contiguous slice.
         """
+        return _runs(self.ids)
+
+    @cached_property
+    def boundary(self) -> tuple[np.ndarray, ...]:
+        """(val, x, y, dir, succ, pinch) of every maximal straight boundary
+        segment of every cluster.
+
+        A segment starts at pixel corner (x, y) and runs in direction dir
+        (0 +x, 1 +y, 2 -x, 3 -y) with its cluster's interior on the left.
+        Segments are sorted by (val, y, x, dir), so the segments of one
+        cluster form one contiguous slice. succ is the index of the first
+        segment leaving the segment's end corner; pinch marks end corners
+        (two diagonal pixels in, two out) where segment succ + 1 leaves too.
+        """
         ids2 = self.ids
         h, w = ids2.shape
-        change_y, change_x = np.nonzero(ids2[:, 1:] != ids2[:, :-1])
-        runs_per_row = np.bincount(change_y, minlength=h) + 1
-        bounds = np.zeros(h + 1, dtype=np.int64)
-        np.cumsum(runs_per_row, out=bounds[1:])
-        x0 = np.zeros(bounds[-1], dtype=np.int64)
-        is_first = np.zeros(bounds[-1], dtype=bool)
-        is_first[bounds[:-1]] = True
-        x0[~is_first] = change_x + 1
-        row = np.repeat(np.arange(h, dtype=np.int64), runs_per_row)
-        x1 = np.empty_like(x0)
-        x1[:-1] = x0[1:]
-        x1[bounds[1:] - 1] = w
-        val = ids2[row, x0].astype(np.int64)
-        keep = np.flatnonzero(val >= 0)
-        order = keep[np.argsort(val[keep], kind="stable")]
-        return val[order], row[order], x0[order], x1[order]
+        pad = np.pad(ids2, 1, constant_values=-1)
+
+        def side_runs(other, transpose):
+            # runs of ids where the neighbour across the side differs; the
+            # vertical sides run down the columns of the transposed map
+            side = np.where(ids2 != other, ids2, -1)
+            return _runs(side.T if transpose else side)
+
+        v0, r0, a0, b0 = side_runs(pad[:-2, 1:-1], False)  # bottom sides, +x
+        v1, c1, a1, b1 = side_runs(pad[1:-1, 2:], True)    # right sides, +y
+        v2, r2, a2, b2 = side_runs(pad[2:, 1:-1], False)   # top sides, -x
+        v3, c3, a3, b3 = side_runs(pad[1:-1, :-2], True)   # left sides, -y
+        val = np.concatenate((v0, v1, v2, v3))
+        direction = np.repeat(np.arange(4, dtype=np.int8),
+                              (v0.size, v1.size, v2.size, v3.size))
+        sx = np.concatenate((a0, c1 + 1, b2, c3))
+        sy = np.concatenate((r0, a1, r2 + 1, b3))
+        ex = np.concatenate((b0, c1 + 1, a2, c3))
+        ey = np.concatenate((r0, b1, r2 + 1, a3))
+
+        # corner keys (val*(h+1) + y)*(w+1) + x increase with (val, y, x)
+        start = (val * (h + 1) + sy) * (w + 1) + sx
+        order = np.lexsort((direction, start))
+        start = start[order]
+        succ = np.searchsorted(start, ((val * (h + 1) + ey) * (w + 1) + ex)[order])
+        pinch = np.append(start[1:] == start[:-1], False)[succ]
+        return val[order], sx[order], sy[order], direction[order], succ, pinch
+
+
+def _runs(ids2: np.ndarray):
+    """ClusterMap.runs of a 2D id array."""
+    h, w = ids2.shape
+    change_y, change_x = np.nonzero(ids2[:, 1:] != ids2[:, :-1])
+    runs_per_row = np.bincount(change_y, minlength=h) + 1
+    bounds = np.zeros(h + 1, dtype=np.int64)
+    np.cumsum(runs_per_row, out=bounds[1:])
+    x0 = np.zeros(bounds[-1], dtype=np.int64)
+    is_first = np.zeros(bounds[-1], dtype=bool)
+    is_first[bounds[:-1]] = True
+    x0[~is_first] = change_x + 1
+    row = np.repeat(np.arange(h, dtype=np.int64), runs_per_row)
+    x1 = np.empty_like(x0)
+    x1[:-1] = x0[1:]
+    x1[bounds[1:] - 1] = w
+    val = ids2[row, x0].astype(np.int64)
+    keep = np.flatnonzero(val >= 0)
+    order = keep[np.argsort(val[keep], kind="stable")]
+    return val[order], row[order], x0[order], x1[order]
 
 
 def run_pixels(row: np.ndarray, x0: np.ndarray, x1: np.ndarray,
@@ -558,7 +604,7 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
     if fg.size:
         keep = d.ravel()[fg] >= thr[flat[fg]]
         new_flat[fg[keep]] = flat[fg[keep]]
-    val, row, x0, x1 = ClusterMap(new_flat.reshape(h, w)).runs
+    val, row, x0, x1 = _runs(new_flat.reshape(h, w))
 
     # Same-cluster runs that touch in consecutive rows. Composite keys
     # (val*(h+1) + row)*(w+2) + x increase strictly over the run table, and
@@ -604,8 +650,7 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
     keep_root = np.full(n_ids, -1, dtype=np.int64)
     keep_root[live] = root[at]
 
-    # clear fragments that are not the peak's component (the map that made
-    # the run table is already dropped, so editing its ids is safe)
+    # clear fragments that are not the peak's component
     kept = root == keep_root[val]
     new_flat[run_pixels(row[~kept], x0[~kept], x1[~kept], w)] = -1
     new2d = new_flat.reshape(h, w)

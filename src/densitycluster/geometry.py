@@ -11,12 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterGraph, ClusterMap, run_pixels
+from .clustering import ClusterGraph, ClusterMap
 from .density import Viewport
 from .errors import ClusterNotFoundError, DataError, ParameterError
-
-# direction codes: 0 = +x, 1 = +y, 2 = -x, 3 = -y
-_DIR_STEP = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 @dataclass(frozen=True)
@@ -57,23 +54,12 @@ class ClusterShape:
     rects: list[tuple[float, float, float, float]] = field(default_factory=list)
 
 
-def _region_runs(cmap: ClusterMap, cluster_id: int):
-    """(row, x0, x1) of the cluster's runs, sorted by (row, x0)."""
-    val, row, x0, x1 = cmap.runs
+def _cluster_span(val: np.ndarray, cluster_id: int) -> slice:
+    """The rows of one cluster in a table sorted by cluster id val."""
     a, b = np.searchsorted(val, (cluster_id, cluster_id + 1))
     if a == b:
         raise ClusterNotFoundError(cluster_id)
-    return row[a:b], x0[a:b], x1[a:b]
-
-
-def _region_mask(cmap: ClusterMap, cluster_id: int):
-    """The region painted into its bounding-box crop, plus the crop origin."""
-    row, x0, x1 = _region_runs(cmap, cluster_id)
-    oy, ox = int(row[0]), int(x0.min())
-    w = int(x1.max()) - ox
-    mask = np.zeros((int(row[-1]) + 1 - oy, w), dtype=bool)
-    mask.ravel()[run_pixels(row - oy, x0 - ox, x1 - ox, w)] = True
-    return mask, ox, oy
+    return slice(a, b)
 
 
 def trace_boundary(cmap: ClusterMap, cluster_id: int,
@@ -87,47 +73,33 @@ def trace_boundary(cmap: ClusterMap, cluster_id: int,
     """
     if connectivity not in (4, 8):
         raise ParameterError("connectivity must be 4 or 8")
-    mask, ox, oy = _region_mask(cmap, cluster_id)
-    h, w = mask.shape
-    pad = np.zeros((h + 2, w + 2), dtype=bool)
-    pad[1:-1, 1:-1] = mask
+    val, x, y, direction, succ, pinch = cmap.boundary
+    k = _cluster_span(val, cluster_id)
+    corners = list(zip(x[k].astype(float).tolist(), y[k].astype(float).tolist()))
+    dirs = direction[k].tolist()
+    nxt = (succ[k] - k.start).tolist()
+    pinched = pinch[k].tolist()
+    turn = -1 if connectivity == 8 else 1
 
-    # directed cracks with the region interior on the left
-    out_edges: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
-
-    def _collect(absent, start_of, direction):
-        yy, xx = np.nonzero(mask & ~absent)
-        for y, x in zip(yy.tolist(), xx.tolist()):
-            sv = start_of(x, y)
-            dx, dy = _DIR_STEP[direction]
-            out_edges.setdefault(sv, []).append((direction, (sv[0] + dx, sv[1] + dy)))
-
-    below = pad[:-2, 1:-1]
-    right = pad[1:-1, 2:]
-    above = pad[2:, 1:-1]
-    left = pad[1:-1, :-2]
-    _collect(below, lambda x, y: (x, y), 0)          # bottom side, walk +x
-    _collect(right, lambda x, y: (x + 1, y), 1)      # right side, walk +y
-    _collect(above, lambda x, y: (x + 1, y + 1), 2)  # top side, walk -x
-    _collect(left, lambda x, y: (x, y + 1), 3)       # left side, walk -y
-
-    # deterministic walk order: smallest start vertex (y, x), then direction
-    starts = sorted(out_edges, key=lambda v: (v[1], v[0]))
-    prefer_right = connectivity == 8
-
+    # Rings start at their first unused segment in table order, which leaves
+    # the ring's smallest (y, x) corner; no second ring still leaves that
+    # corner. At a pinch corner the two leaving segments are in direction
+    # order, and the turn rule picks the one that continues the ring.
+    used = [False] * len(dirs)
     rings: list[PolygonRing] = []
-    for sv in starts:
-        while out_edges.get(sv):
-            direction, cur = _take(out_edges, sv, incoming=None,
-                                   prefer_right=prefer_right)
-            path = [(sv, direction)]
-            while cur != sv:
-                direction, nxt = _take(out_edges, cur, incoming=direction,
-                                       prefer_right=prefer_right)
-                path.append((cur, direction))
-                cur = nxt
-            rings.append(PolygonRing(tuple((float(x + ox), float(y + oy))
-                                           for x, y in _corners(path))))
+    for first in range(len(dirs)):
+        if used[first]:
+            continue
+        ring = []
+        s = first
+        while not used[s]:
+            used[s] = True
+            ring.append(corners[s])
+            t = nxt[s]
+            if pinched[s] and dirs[t] != (dirs[s] + turn) % 4:
+                t += 1
+            s = t
+        rings.append(PolygonRing(tuple(ring)))
 
     outer = [r for r in rings if not r.is_hole]
     if len(outer) != 1:
@@ -138,34 +110,6 @@ def trace_boundary(cmap: ClusterMap, cluster_id: int,
     return ClusterShape(cluster_id, outer[0], [r for r in rings if r.is_hole])
 
 
-def _take(out_edges, vertex, incoming, prefer_right):
-    """Pop the next directed crack at a vertex, resolving pinch corners."""
-    cands = out_edges[vertex]
-    if len(cands) == 1 or incoming is None:
-        choice = 0
-    else:
-        # relative turn: right = (incoming - 1) % 4, left = (incoming + 1) % 4
-        want = (incoming - 1) % 4 if prefer_right else (incoming + 1) % 4
-        choice = next((i for i, (d, _) in enumerate(cands) if d == want), 0)
-    direction, end = cands.pop(choice)
-    if not cands:
-        del out_edges[vertex]
-    return direction, end
-
-
-def _corners(path):
-    """Collapse a walked crack path to its direction-change corners."""
-    n = len(path)
-    corners = []
-    for i in range(n):
-        prev_dir = path[i - 1][1]
-        vertex, cur_dir = path[i]
-        if cur_dir != prev_dir:
-            corners.append(vertex)
-    k = min(range(len(corners)), key=lambda i: (corners[i][1], corners[i][0]))
-    return corners[k:] + corners[:k]
-
-
 def decompose_rectangles(cmap: ClusterMap, cluster_id: int
                          ) -> list[tuple[int, int, int, int]]:
     """Exact disjoint rectangle cover of a cluster region.
@@ -174,7 +118,9 @@ def decompose_rectangles(cmap: ClusterMap, cluster_id: int
     x-extent merge into one rectangle. Rectangles are (x0, y0, x1, y1)
     half-open pixel bounds, listed by (y0, x0).
     """
-    row, x0, x1 = _region_runs(cmap, cluster_id)
+    val, row, x0, x1 = cmap.runs
+    k = _cluster_span(val, cluster_id)
+    row, x0, x1 = row[k], x0[k], x1[k]
     order = np.lexsort((row, x1, x0))
     row, x0, x1 = row[order], x0[order], x1[order]
     # a rect starts where the span changes or the previous row is missing

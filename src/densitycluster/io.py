@@ -217,9 +217,10 @@ def cluster_document(viewport: Viewport, params, bandwidth_px: float, shapes,
 
 
 def write_json(path, doc) -> None:
+    # dumps, not dump: json.dump always takes the pure-Python encoder
+    text = json.dumps(doc, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _expect(doc, key, path, kind=None):

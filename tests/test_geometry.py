@@ -94,8 +94,8 @@ def test_trace_checkerboard_round_trip():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**9), st.sampled_from([4, 8]))
-def test_trace_round_trip_random_blobs(seed, conn):
+@given(st.integers(0, 10**9), st.sampled_from([4, 8]), st.booleans())
+def test_trace_round_trip_random_blobs(seed, conn, crowded):
     rng = np.random.default_rng(seed)
     h, w = int(rng.integers(1, 14)), int(rng.integers(1, 14))
     mask = rng.random((h, w)) < 0.55
@@ -103,6 +103,10 @@ def test_trace_round_trip_random_blobs(seed, conn):
         mask[0, 0] = True
     mask = one_component(mask, conn)
     cmap = _cmap_from_mask(mask)
+    if crowded:
+        # the blob's surroundings and holes hold other clusters' ids
+        others = rng.integers(-1, 4, size=(h, w))
+        cmap = ClusterMap(np.where(mask, 0, np.where(others == 0, 4, others)))
     shape = trace_boundary(cmap, 0, connectivity=conn)
     assert rasterize_rings(shape.outer, shape.holes) == region_pixels(cmap, 0)
     # region area equals outer area minus hole areas

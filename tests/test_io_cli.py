@@ -224,6 +224,17 @@ def test_cli_malformed_cluster_fields_are_data_errors(tmp_path, command, path,
     assert main(_doc_argv(command, tmp_path) + ["--cluster-json", str(bad)]) == 3
 
 
+def test_cli_label_unallocatable_viewport_is_data_error(tmp_path, capsys):
+    # label assigns documents through a width x height grid; 10**16 cells
+    # exceed any address space, so the allocation fails at once
+    doc = json.loads(json.dumps(_FIXTURE_DOC))
+    doc["viewport"]["width"] = doc["viewport"]["height"] = 10**8
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_doc_argv("label", tmp_path) + ["--cluster-json", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def _doc_argv(command, out_dir):
     return {
         "render": ["render", "--output", str(out_dir / "out.svg")],
