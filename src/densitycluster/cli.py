@@ -175,8 +175,10 @@ def cmd_cluster(args) -> int:
     if cfg.output is None:
         raise ParameterError("--output is required")
     params = cfg.params()
+    t_load = time.perf_counter()
     batch = load_points(cfg.input, cfg.format, cfg.x_col, cfg.y_col,
                         cfg.weight_col, cfg.text_col)
+    load_ms = (time.perf_counter() - t_load) * 1000
     vp = auto_viewport(batch, cfg.width, cfg.height, cfg.padding)
     bandwidth = cfg.bandwidth if cfg.bandwidth is not None else default_bandwidth(vp)
 
@@ -201,7 +203,8 @@ def cmd_cluster(args) -> int:
     if cfg.density_out:
         write_density_dump(cfg.density_out, dm)
     print(f"clusters={len(graph.nodes)} pixels={vp.width * vp.height} "
-          f"kde_ms={(t1 - t0) * 1000:.1f} cluster_ms={(t2 - t1) * 1000:.1f}")
+          f"load_ms={load_ms:.1f} kde_ms={(t1 - t0) * 1000:.1f} "
+          f"cluster_ms={(t2 - t1) * 1000:.1f}")
     return 0
 
 
@@ -231,8 +234,10 @@ def cmd_label(args) -> int:
     if args.top_k < 1:
         raise ParameterError("--top-k must be >= 1")
     doc = read_cluster_document(args.cluster_json)
+    t_load = time.perf_counter()
     batch = load_points(cfg.input, cfg.format, cfg.x_col, cfg.y_col,
                         cfg.weight_col, cfg.text_col)
+    load_ms = (time.perf_counter() - t_load) * 1000
     shapes = [doc.shape(c) for c in doc.clusters]
     assignment = assign_documents(batch, shapes, doc.viewport)
     texts = batch.texts if batch.texts is not None else [None] * len(batch)
@@ -248,7 +253,8 @@ def cmd_label(args) -> int:
     else:
         write_json(cfg.output, label_rows)
     assigned = sum(len(v) for v in assignment.values())
-    print(f"labeled={len(label_rows)} documents={len(batch)} assigned={assigned}")
+    print(f"labeled={len(label_rows)} documents={len(batch)} assigned={assigned} "
+          f"load_ms={load_ms:.1f}")
     return 0
 
 

@@ -15,6 +15,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
+from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -34,9 +35,19 @@ def load_points(path, fmt: str, x_col: str = "x", y_col: str = "y",
     Rows with unparsable/missing coordinates, non-finite values, or negative
     weights are skipped; more than MALFORMED_ROW_LIMIT of bad rows aborts
     with the first offending row number.
+
+    A CSV without quote characters whose every data row is a valid point is
+    read column-wise by numpy's C parser; any other file is read row by row,
+    with the same result.
     """
     if fmt == "csv":
-        rows = _iter_csv(path, x_col, y_col, weight_col, text_col)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        cols = _csv_header_columns(data, x_col, y_col, weight_col, text_col)
+        batch = _read_csv_columns(data, *cols)
+        if batch is not None:
+            return batch
+        rows = _iter_csv(data, *cols)
     elif fmt == "jsonl":
         rows = _iter_jsonl(path, x_col, y_col, weight_col, text_col)
     else:
@@ -75,40 +86,84 @@ def _parse_values(x, y, wt, text):
         fw = 1.0 if wt is None or wt == "" else float(wt)
     except (TypeError, ValueError):
         return None
-    if not (np.isfinite(fx) and np.isfinite(fy) and np.isfinite(fw)) or fw < 0:
+    if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fw)) or fw < 0:
         return None
     return fx, fy, fw, text if text is None else str(text)
 
 
-def _iter_csv(path, x_col, y_col, weight_col, text_col):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _csv_lines(data: bytes) -> TextIOWrapper:
+    """The file's lines, decoded as when it is opened in text mode with
+    newline="" (split at CR, LF and CRLF), so that csv.reader and np.loadtxt
+    see the same lines. BytesIO shares `data` and the decoding streams; a
+    StringIO would hold four bytes per character once it is read."""
+    return TextIOWrapper(BytesIO(data), encoding="utf-8", newline="")
+
+
+def _csv_header_columns(data, x_col, y_col, weight_col, text_col):
+    """Header indices of the x, y, weight and text columns (None if unused)."""
+    try:
+        header = next(csv.reader(_csv_lines(data)))
+    except StopIteration:
+        raise NoDataError("no data: empty file") from None
+    idx = {}
+    for name in (x_col, y_col, weight_col, text_col):
+        if name is None:
+            continue
+        if name not in header:
+            raise ParameterError(f"column {name!r} not found in header {header}")
+        idx[name] = header.index(name)
+    return (idx[x_col], idx[y_col], idx[weight_col] if weight_col else None,
+            idx[text_col] if text_col else None)
+
+
+def _read_csv_columns(data, xi, yi, wi, ti) -> PointBatch | None:
+    """The batch of CSV bytes read column-wise, or None unless they hold no
+    quote character and every data row is a valid point (the per-row path
+    then decides)."""
+    if b'"' in data:  # in UTF-8 this byte is only ever the quote character
+        # loadtxt does not know quotes: in `"a,5,6,b",7,8` it finds columns
+        # 5 and 6 where csv.reader finds 7 and 8, and raises nothing
+        return None
+    usecols = [xi, yi] if wi is None else [xi, yi, wi]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = np.loadtxt(_csv_lines(data), delimiter=",", skiprows=1,
+                              usecols=usecols, comments=None, ndmin=2,
+                              dtype=np.float64)
+    except (ValueError, Warning):
+        return None
+    if not len(cols) or not np.isfinite(cols).all() or (cols[:, 2:] < 0).any():
+        return None
+    texts = None
+    if ti is not None:
+        reader = csv.reader(_csv_lines(data))
+        next(reader)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise NoDataError("no data: empty file") from None
-        idx = {}
-        for name in (x_col, y_col, weight_col, text_col):
-            if name is None:
-                continue
-            if name not in header:
-                raise ParameterError(f"column {name!r} not found in header {header}")
-            idx[name] = header.index(name)
-        xi, yi = idx[x_col], idx[y_col]
-        wi = idx.get(weight_col) if weight_col else None
-        ti = idx.get(text_col) if text_col else None
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                x = row[xi]
-                y = row[yi]
-                wt = row[wi] if wi is not None else None
-                text = row[ti] if ti is not None else None
-            except IndexError:
-                yield row_no, None
-                continue
-            yield row_no, _parse_values(x, y, wt, text)
+            texts = [row[ti] for row in reader if row]
+        except IndexError:
+            return None
+        if len(texts) != len(cols):
+            return None
+    xs, ys, *ws = np.ascontiguousarray(cols.T)
+    return PointBatch(xs, ys, ws[0] if ws else np.ones(len(cols)), texts)
+
+
+def _iter_csv(data, xi, yi, wi, ti):
+    reader = csv.reader(_csv_lines(data))
+    next(reader)
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            x = row[xi]
+            y = row[yi]
+            wt = row[wi] if wi is not None else None
+            text = row[ti] if ti is not None else None
+        except IndexError:
+            yield row_no, None
+            continue
+        yield row_no, _parse_values(x, y, wt, text)
 
 
 def _iter_jsonl(path, x_col, y_col, weight_col, text_col):
@@ -125,6 +180,9 @@ def _iter_jsonl(path, x_col, y_col, weight_col, text_col):
                 continue
             wt = obj.get(weight_col) if weight_col else None
             text = obj.get(text_col) if text_col else None
+            if bool in (type(x), type(y), type(wt)):
+                yield row_no, None  # float(True) would read it as 1.0
+                continue
             yield row_no, _parse_values(x, y, wt, text)
 
 

@@ -157,14 +157,21 @@ def ctfidf_labels(assignment: dict[int, np.ndarray], documents,
     score(t, c) = tf(t, c) * log(1 + A / corpus_count(t)) with
     tf(t, c) = count of t in c / total tokens in c and A = mean token count
     per cluster. Ties rank lexicographically. Clusters without tokens get an
-    empty label.
+    empty label. Each document is in at most one cluster, as
+    `assign_documents` gives.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
-    corpus = _count_tokens(documents)
+    # each document is in at most one cluster, so the corpus counts are the
+    # cluster counts plus the unassigned documents' counts
     cluster_counts: dict[int, Counter] = {}
+    unassigned = np.ones(len(documents), dtype=bool)
     for cid in sorted(assignment):
         cluster_counts[cid] = _count_tokens(documents[i] for i in assignment[cid])
+        unassigned[assignment[cid]] = False
+    corpus = _count_tokens(documents[i] for i in np.flatnonzero(unassigned))
+    for counts in cluster_counts.values():
+        corpus.update(counts)
 
     n_clusters = len(cluster_counts)
     total_cluster_tokens = sum(sum(c.values()) for c in cluster_counts.values())

@@ -1,12 +1,17 @@
+import contextlib
 import json
 import math
 import pathlib
+import re
 import sqlite3
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import densitycluster.io as dio
 from densitycluster.cli import main
 from densitycluster.density import DensityMap, Viewport
 from densitycluster.errors import DataError, NoDataError, ParameterError
@@ -71,9 +76,12 @@ def test_load_jsonl(tmp_path):
 
 def test_load_jsonl_bad_lines(tmp_path):
     p = tmp_path / "pts.jsonl"
-    p.write_text('{"x": 1, "y": 2}\nnot json\n{"y": 3}\n')
-    with pytest.raises(DataError):
-        load_points(p, "jsonl")
+    for text, cols in (('{"x": 1, "y": 2}\nnot json\n{"y": 3}\n', {}),
+                       # bools are not numbers, though float(True) is 1.0
+                       ('{"x": true, "y": 2, "w": false}\n', {"weight_col": "w"})):
+        p.write_text(text)
+        with pytest.raises(DataError):
+            load_points(p, "jsonl", **cols)
 
 
 def test_load_bad_format():
@@ -86,6 +94,100 @@ def test_load_negative_weight_is_malformed(tmp_path):
     p.write_text("x,y,w\n1,2,-5\n")
     with pytest.raises(DataError):
         load_points(p, "csv", weight_col="w")
+
+
+def _load_outcome(path, per_row, **cols):
+    """Everything load_points returns, warns or raises, as comparable data;
+    `per_row` turns the column-wise CSV reader off."""
+    column_wise_off = mock.patch.object(dio, "_read_csv_columns", lambda *args: None)
+    with warnings.catch_warnings(record=True) as caught, \
+            (column_wise_off if per_row else contextlib.nullcontext()):
+        warnings.simplefilter("always")
+        try:
+            b = load_points(path, "csv", **cols)
+            result = ("batch", [(a.dtype, a.tobytes()) for a in (b.xs, b.ys, b.weights)],
+                      b.texts)
+        except Exception as exc:  # the exception is part of the compared outcome
+            result = ("raised", type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def _assert_same_as_per_row(path, **cols):
+    outcome = _load_outcome(path, False, **cols)
+    assert outcome == _load_outcome(path, True, **cols)
+    return outcome
+
+
+_NUMBERS = st.one_of(st.integers(-999, 999).map(str), st.floats().map(repr))  # nan, inf too
+_WEIGHTS = st.one_of(st.integers(0, 999).map(str), st.floats(0).map(repr),
+                     st.sampled_from(["-1", "-0.0", "0"]))
+_TEXTS = st.sampled_from(["", "alpha", "a b", "1.5"])
+_CSV_TOKENS = list("0123456789.e-_, #") + ['"', "\n", "\r", "nan", "inf", "\uff11"]
+# one field replacing a valid one; None cuts the row short there
+_ODD_FIELDS = st.one_of(
+    st.lists(st.sampled_from(_CSV_TOKENS), max_size=4).map("".join),
+    st.sampled_from(["", " 1 ", "-0", "-5", "nan", "-inf", "1e999", "1_0", "\uff11",
+                     '"1,2"', None]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_NUMBERS, _NUMBERS, _WEIGHTS, _TEXTS).map(list),
+                    max_size=6),
+       edits=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), _ODD_FIELDS),
+                      max_size=2),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r", ""]), min_size=7, max_size=7),
+       cols=st.sampled_from([{}, {"weight_col": "w"}, {"text_col": "t"},
+                             {"weight_col": "w", "text_col": "t"}]))
+def test_load_csv_matches_per_row_path(tmp_path_factory, rows, edits, ends, cols):
+    """Valid rows with at most two odd fields or cut rows, under any line ends."""
+    for i, j, field in edits:
+        if rows:
+            row = rows[i % len(rows)]
+            if field is None:
+                del row[j:]
+            else:
+                row[j:j + 1] = [field]
+    lines = ["x,y,w,t", *map(",".join, rows)]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    path = tmp_path_factory.mktemp("csv") / "pts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_same_as_per_row(path, **cols)
+
+
+_VALID_ROWS = "1,2,1\n" * 200   # one bad row after these is under the 1% limit
+
+
+@pytest.mark.parametrize("text, cols, xs, ws, texts, bad_row", [
+    # loadtxt does not know quotes: it would read x=5, y=6 here
+    ('t,x,y\n"a,5,6,b",7,8\n', {"text_col": "t"}, [7.0], [1.0], ["a,5,6,b"], None),
+    ("x,y\n1_000,2\n\uff11,2\n", {}, [1000.0, 1.0], [1.0] * 2, None, None),  # float() only
+    ("x,y,w\n1,2,\n", {"weight_col": "w"}, [1.0], [1.0], None, None),  # empty weight
+    ("x,y\r1,2\n3,4\n", {}, [1.0, 3.0], [1.0] * 2, None, None),  # lone CR ends the header
+    ("x,y,w\n" + _VALID_ROWS + "3\n", {}, [1.0] * 200, [1.0] * 200, None, 202),  # short
+    ("x,y,w\n" + _VALID_ROWS + "3,4\n", {"text_col": "w"},
+     [1.0] * 200, [1.0] * 200, ["1"] * 200, 202),   # short of the text column only
+    ("x,y,w\n" + _VALID_ROWS + "3,4,-1\n", {"weight_col": "w"},
+     [1.0] * 200, [1.0] * 200, None, 202),
+    ("x,y,w\n" + _VALID_ROWS + "nan,4,1\n", {}, [1.0] * 200, [1.0] * 200, None, 202),
+], ids=["quoted-delimiter", "float-only-syntax", "empty-weight", "lone-cr-header",
+        "short-row", "short-text-row", "negative-weight", "non-finite"])
+def test_load_csv_per_row_fallback_regressions(tmp_path, text, cols, xs, ws, texts,
+                                               bad_row):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    (kind, arrays, got_texts), caught = _assert_same_as_per_row(path, **cols)
+    assert kind == "batch" and got_texts == texts
+    assert [np.frombuffer(arrays[i][1]).tolist() for i in (0, 2)] == [xs, ws]
+    assert caught == ([] if bad_row is None else
+                      [f"skipped 1 malformed row(s), first at row {bad_row}"])
+
+
+def test_load_csv_header_only_matches_per_row(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("x,y\n")
+    # the NoDataError alone: no "input contained no data" warning from loadtxt
+    assert _assert_same_as_per_row(path) == (
+        ("raised", NoDataError, "no data: input contains no usable rows"), [])
 
 
 # ------------------------------------------------------------------ dumps
@@ -140,6 +242,7 @@ def test_cli_cluster_fixture_two_clusters(tmp_path, capsys):
     assert rc == 0
     summary = capsys.readouterr().out
     assert "clusters=2" in summary and "pixels=16384" in summary
+    assert re.search(r" load_ms=\d+\.\d kde_ms=", summary)
     doc = read_cluster_document(out)
     assert len(doc.clusters) == 2
     for c in doc.clusters:
