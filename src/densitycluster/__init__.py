@@ -5,7 +5,7 @@ clustering pipeline, then post-process regions into polygons, rectangle
 covers, SQL predicates, and text labels.
 """
 
-from .clustering import (ClusterEdge, ClusterGraph, ClusterMap, ClusterNode,
+from .clustering import (ClusterEdges, ClusterGraph, ClusterMap, ClusterNode,
                          ClusterParams, build_neighborhood_graph,
                          cluster_density_map, initial_clusters,
                          truncate_clusters, union_clusters)
@@ -22,7 +22,7 @@ from .labeling import (LabelResult, assign_documents, ctfidf_labels,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterEdge", "ClusterGraph", "ClusterMap", "ClusterNode", "ClusterParams",
+    "ClusterEdges", "ClusterGraph", "ClusterMap", "ClusterNode", "ClusterParams",
     "ClusterNotFoundError", "ClusterShape", "DataError", "DensityMap",
     "LabelResult", "NoDataError", "ParameterError", "PointBatch", "PolygonRing",
     "Viewport", "assign_documents", "auto_viewport", "bin_points",

@@ -66,7 +66,8 @@ def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError: not JSON, not UTF-8, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:
         raise ParameterError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParameterError("config file must hold a JSON object")

@@ -201,33 +201,45 @@ class ClusterNode:
     area_px: int
 
 
-@dataclass
-class ClusterEdge:
-    """Shared-boundary summary between two adjacent clusters.
+@dataclass(eq=False)
+class ClusterEdges:
+    """Shared-boundary summaries of adjacent cluster pairs, as numpy columns.
 
-    nearest_dist / nearest_pixel record, per endpoint, the minimum Euclidean
-    pixel distance from that cluster's peak to one of its own boundary pixels
-    on this edge, and the pixel realizing it.
+    One row per pair of clusters that touch under the map's connectivity,
+    sorted by (a, b) with a < b. count is the number of neighbor-pixel pairs
+    spanning the two clusters and max_density the highest density among
+    those pixels. dist and pixel have shape (m, 2); side 0 is cluster a and
+    side 1 is cluster b. dist[i, s] is the smallest Euclidean distance from
+    that side's peak to one of its own pixels on this boundary, and
+    pixel[i, s] is the pixel realizing it (the smallest on ties) as the
+    linear index y * width + x.
     """
 
-    endpoints: tuple[int, int]
-    boundary_px_count: int
-    max_boundary_density: float
-    nearest_dist: dict[int, float]
-    nearest_pixel: dict[int, tuple[int, int]]
+    a: np.ndarray
+    b: np.ndarray
+    count: np.ndarray
+    max_density: np.ndarray
+    dist: np.ndarray
+    pixel: np.ndarray
 
-    def score(self) -> float:
-        return min(self.nearest_dist.values())
+    def __len__(self) -> int:
+        return int(self.a.shape[0])
+
+    @classmethod
+    def empty(cls) -> ClusterEdges:
+        ints = np.empty(0, dtype=np.int64)
+        return cls(ints, ints, ints, np.empty(0), np.empty((0, 2)),
+                   np.empty((0, 2), dtype=np.int64))
 
 
 @dataclass
 class ClusterGraph:
     nodes: dict[int, ClusterNode] = field(default_factory=dict)
-    edges: dict[tuple[int, int], ClusterEdge] = field(default_factory=dict)
+    edges: ClusterEdges = field(default_factory=ClusterEdges.empty)
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {cid: [] for cid in self.nodes}
-        for a, b in self.edges:
+        for a, b in zip(self.edges.a.tolist(), self.edges.b.tolist()):
             adj[a].append(b)
             adj[b].append(a)
         return adj
@@ -331,7 +343,7 @@ def _peaks_and_areas(d: np.ndarray, cmap: ClusterMap) -> tuple[np.ndarray, np.nd
 
 
 def _boundary_edges(d: np.ndarray, ids2: np.ndarray, peak_lin: np.ndarray,
-                    connectivity: int) -> dict[tuple[int, int], ClusterEdge]:
+                    connectivity: int) -> ClusterEdges:
     """Scan every unordered neighbor-pixel pair spanning two clusters."""
     h, w = ids2.shape
     flat_d = d.ravel()
@@ -354,7 +366,7 @@ def _boundary_edges(d: np.ndarray, ids2: np.ndarray, peak_lin: np.ndarray,
         la_l.append(lin_a)
         lb_l.append(lin_b)
     if not ai_l:
-        return {}
+        return ClusterEdges.empty()
 
     ai = np.concatenate(ai_l).astype(np.int64)
     bi = np.concatenate(bi_l).astype(np.int64)
@@ -385,21 +397,9 @@ def _boundary_edges(d: np.ndarray, ids2: np.ndarray, peak_lin: np.ndarray,
 
     lo_dist, lo_pix = _nearest(lo, pix_lo)
     hi_dist, hi_pix = _nearest(hi, pix_hi)
-
-    edges: dict[tuple[int, int], ClusterEdge] = {}
-    e_lo = (uk // n_ids).astype(int)
-    e_hi = (uk % n_ids).astype(int)
-    for i in range(uk.shape[0]):
-        a, b = int(e_lo[i]), int(e_hi[i])
-        edges[(a, b)] = ClusterEdge(
-            endpoints=(a, b),
-            boundary_px_count=int(counts[i]),
-            max_boundary_density=float(edge_maxd[i]),
-            nearest_dist={a: float(lo_dist[i]), b: float(hi_dist[i])},
-            nearest_pixel={a: (int(lo_pix[i] % w), int(lo_pix[i] // w)),
-                           b: (int(hi_pix[i] % w), int(hi_pix[i] // w))},
-        )
-    return edges
+    return ClusterEdges(uk // n_ids, uk % n_ids, counts, edge_maxd,
+                        np.column_stack((lo_dist, hi_dist)),
+                        np.column_stack((lo_pix, hi_pix)))
 
 
 def build_neighborhood_graph(density: DensityMap, cmap: ClusterMap,
@@ -448,26 +448,20 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
         cid: [nd.peak_xy[0] + nd.peak_xy[1] * w, nd.peak_density, nd.area_px]
         for cid, nd in graph.nodes.items()
     }
-    # key -> [count, maxd, {cid: (dist, pixel_lin)}]
-    edges_w: dict[tuple[int, int], list] = {}
-    adj: dict[int, set[int]] = {cid: set() for cid in nodes_w}
-    for (a, b), e in graph.edges.items():
-        sides = {
-            a: (e.nearest_dist[a], e.nearest_pixel[a][0] + e.nearest_pixel[a][1] * w),
-            b: (e.nearest_dist[b], e.nearest_pixel[b][0] + e.nearest_pixel[b][1] * w),
-        }
-        edges_w[(a, b)] = [e.boundary_px_count, e.max_boundary_density, sides]
-        adj[a].add(b)
-        adj[b].add(a)
+    # the edge columns as lists; a merge kills rows and appends new ones
+    e = graph.edges
+    ea, eb = e.a.tolist(), e.b.tolist()
+    count, maxd = e.count.tolist(), e.max_density.tolist()
+    dist, pix = e.dist.tolist(), e.pixel.tolist()
+    alive = [True] * len(ea)
+    # id -> {neighbor id: row of the pair}
+    adj: dict[int, dict[int, int]] = {cid: {} for cid in nodes_w}
+    for r, (a, b) in enumerate(zip(ea, eb)):
+        adj[a][b] = adj[b][a] = r
 
-    version: dict[tuple[int, int], int] = {}
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    for key in edges_w:
-        version[key] = seq
-        sides = edges_w[key][2]
-        heap.append((min(d for d, _ in sides.values()), key[0], key[1], seq))
-        seq += 1
+    # entries (score, a, b, row); one is stale once its row is dead or its
+    # score is no longer the row's
+    heap = [(min(d), a, b, r) for r, (d, a, b) in enumerate(zip(dist, ea, eb))]
     heapq.heapify(heap)
 
     parent = {cid: cid for cid in nodes_w}
@@ -478,21 +472,11 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
             c = parent[c]
         return c
 
-    def push(key: tuple[int, int]):
-        nonlocal seq
-        version[key] = seq
-        sides = edges_w[key][2]
-        heapq.heappush(heap, (min(d for d, _ in sides.values()), key[0], key[1], seq))
-        seq += 1
-
-    while heap:
-        score, a, b, ver = heap[0]
-        if score > params.merge_distance_px:
-            break
-        heapq.heappop(heap)
-        key = (a, b)
-        if version.get(key) != ver or key not in edges_w:
+    while heap and heap[0][0] <= params.merge_distance_px:
+        score, a, b, r = heapq.heappop(heap)
+        if not alive[r] or score != min(dist[r]):
             continue
+        alive[r] = False
 
         na, nb = nodes_w[a], nodes_w[b]
         if (na[1], -a) > (nb[1], -b):  # higher peak wins, tie -> smaller id
@@ -502,40 +486,41 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
         parent[gone] = surv
         nodes_w[surv][2] += nodes_w[gone][2]
         del nodes_w[gone]
-
-        del edges_w[key]
-        del version[key]
-        adj[surv].discard(gone)
-        adj[gone].discard(surv)
+        del adj[surv][gone]
+        gone_adj = adj.pop(gone)
+        del gone_adj[surv]
 
         speak = nodes_w[surv][0]
         spx, spy = speak % w, speak // w
-        for c in sorted(adj[gone]):
-            old_key = (gone, c) if gone < c else (c, gone)
-            cnt, mxd, sides = edges_w.pop(old_key)
-            del version[old_key]
-            adj[c].discard(gone)
-
+        for c in sorted(gone_adj):
+            old = gone_adj[c]
+            alive[old] = False
+            del adj[c][gone]
+            g = int(c < gone)  # the side of gone in the old row; c is 1 - g
             # the absorbed side's boundary pixel, re-measured from the
             # surviving peak
-            g_dist, g_pix = sides[gone]
-            nd = math.hypot(g_pix % w - spx, g_pix // w - spy)
-            cand_surv = (nd, g_pix)
-            cand_other = sides[c]
+            g_pix = pix[old][g]
+            cand_surv = (math.hypot(g_pix % w - spx, g_pix // w - spy), g_pix)
+            cand_other = (dist[old][1 - g], pix[old][1 - g])
 
-            new_key = (surv, c) if surv < c else (c, surv)
-            if new_key in edges_w:
-                e2 = edges_w[new_key]
-                e2[0] += cnt
-                e2[1] = max(e2[1], mxd)
-                e2[2][surv] = min(e2[2][surv], cand_surv)
-                e2[2][c] = min(e2[2][c], cand_other)
-            else:
-                edges_w[new_key] = [cnt, mxd, {surv: cand_surv, c: cand_other}]
-                adj[surv].add(c)
-                adj[c].add(surv)
-            push(new_key)
-        del adj[gone]
+            new = adj[surv].get(c)
+            if new is None:  # no (surv, c) row yet: start an empty one
+                new = len(ea)
+                ea.append(min(surv, c))
+                eb.append(max(surv, c))
+                count.append(0)
+                maxd.append(-math.inf)
+                dist.append([math.inf, math.inf])
+                pix.append([0, 0])
+                alive.append(True)
+                adj[surv][c] = adj[c][surv] = new
+            count[new] += count[old]
+            maxd[new] = max(maxd[new], maxd[old])
+            s = int(c < surv)
+            for side, cand in ((s, cand_surv), (1 - s, cand_other)):
+                if cand < (dist[new][side], pix[new][side]):
+                    dist[new][side], pix[new][side] = cand
+            heapq.heappush(heap, (min(dist[new]), ea[new], eb[new], new))
 
     # resolve the cluster map through the union-find
     ids = cmap.ids
@@ -556,18 +541,15 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
         pl, pd, area = nodes_w[cid]
         out_nodes[cid] = ClusterNode(cid, (pl % w, pl // w), pd, int(area))
         hint[cid] = pl
-    out_edges: dict[tuple[int, int], ClusterEdge] = {}
-    for key in sorted(edges_w):
-        cnt, mxd, sides = edges_w[key]
-        a, b = key
-        out_edges[key] = ClusterEdge(
-            endpoints=key,
-            boundary_px_count=int(cnt),
-            max_boundary_density=float(mxd),
-            nearest_dist={a: sides[a][0], b: sides[b][0]},
-            nearest_pixel={a: (sides[a][1] % w, sides[a][1] // w),
-                           b: (sides[b][1] % w, sides[b][1] // w)},
-        )
+    live = np.flatnonzero(alive)
+    a_col = np.array(ea, dtype=np.int64)
+    b_col = np.array(eb, dtype=np.int64)
+    rows = live[np.lexsort((b_col[live], a_col[live]))]
+    out_edges = ClusterEdges(
+        a_col[rows], b_col[rows], np.array(count, dtype=np.int64)[rows],
+        np.array(maxd, dtype=np.float64)[rows],
+        np.array(dist, dtype=np.float64).reshape(-1, 2)[rows],
+        np.array(pix, dtype=np.int64).reshape(-1, 2)[rows])
     new_cmap = ClusterMap(new_flat.reshape(ids.shape), peak_hint=hint)
     return ClusterGraph(out_nodes, out_edges), new_cmap
 

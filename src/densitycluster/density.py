@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import DataError, NoDataError, ParameterError
 
@@ -208,6 +207,9 @@ def smooth(counts: DensityMap, bandwidth_px: float) -> DensityMap:
         raise ParameterError("bandwidth_px must be finite and >= 0")
     if bandwidth_px == 0:
         return DensityMap(counts.viewport, counts.values.copy())
+    # imported here so that render, label and sql, which never smooth, skip it
+    from scipy.ndimage import convolve1d
+
     k = gaussian_kernel(bandwidth_px)
     out = convolve1d(counts.values, k, axis=1, mode="constant", cval=0.0)
     out = convolve1d(out, k, axis=0, mode="constant", cval=0.0)

@@ -184,4 +184,6 @@ def color_clusters(graph: ClusterGraph, palette_size: int = 10) -> dict[int, int
 
 
 def count_color_conflicts(graph: ClusterGraph, colors: dict[int, int]) -> int:
-    return sum(1 for a, b in graph.edges if colors[a] == colors[b])
+    edges = graph.edges
+    return sum(1 for a, b in zip(edges.a.tolist(), edges.b.tolist())
+               if colors[a] == colors[b])

@@ -38,8 +38,15 @@ def load_points(path, fmt: str, x_col: str = "x", y_col: str = "y",
 
     A CSV without quote characters whose every data row is a valid point is
     read column-wise by numpy's C parser; any other file is read row by row,
-    with the same result.
+    with the same result. A file that is not UTF-8 text is a DataError.
     """
+    try:
+        return _load_points(path, fmt, x_col, y_col, weight_col, text_col)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"points file is not UTF-8 text ({exc.reason})") from None
+
+
+def _load_points(path, fmt, x_col, y_col, weight_col, text_col) -> PointBatch:
     if fmt == "csv":
         with open(path, "rb") as fh:
             data = fh.read()
@@ -175,7 +182,8 @@ def _iter_jsonl(path, x_col, y_col, weight_col, text_col):
             try:
                 obj = json.loads(line)
                 x, y = obj[x_col], obj[y_col]
-            except (json.JSONDecodeError, KeyError, TypeError):
+            # ValueError: not JSON, or an integer too long to convert
+            except (ValueError, RecursionError, KeyError, TypeError):
                 yield row_no, None
                 continue
             wt = obj.get(weight_col) if weight_col else None
@@ -308,7 +316,8 @@ def read_cluster_document(path) -> ClusterDocument:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError: not JSON, not UTF-8, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"cluster JSON: not valid JSON ({exc})") from exc
     vp = _expect(doc, "viewport", "", dict)
     for k in ("x_min", "x_max", "y_min", "y_max", "width", "height"):

@@ -1,8 +1,13 @@
+import itertools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densitycluster.clustering import (ClusterMap, ClusterParams,
+from densitycluster.clustering import (NEIGHBOR_OFFSETS, ClusterMap,
+                                       ClusterParams,
                                        build_neighborhood_graph,
                                        cluster_density_map, initial_clusters,
                                        truncate_clusters, union_clusters)
@@ -18,6 +23,14 @@ def _dm(vals) -> DensityMap:
     vals = np.asarray(vals, dtype=float)
     h, w = vals.shape
     return DensityMap(Viewport(0, w, 0, h, w, h), vals)
+
+
+def _pairs(edges) -> list[tuple[int, int]]:
+    return list(zip(edges.a.tolist(), edges.b.tolist()))
+
+
+def _row(edges, a, b) -> int:
+    return _pairs(edges).index((a, b))
 
 
 def test_params_validation():
@@ -100,9 +113,8 @@ def test_graph_straight_border(conn, expected_count):
     dm, cm = _two_region_map()
     graph = build_neighborhood_graph(dm, cm, conn)
     assert set(graph.nodes) == {0, 1}
-    assert list(graph.edges) == [(0, 1)]
-    edge = graph.edges[(0, 1)]
-    assert edge.boundary_px_count == expected_count
+    assert _pairs(graph.edges) == [(0, 1)]
+    assert graph.edges.count[0] == expected_count
     brute = brute_boundary_stats(dm, cm, conn)
     assert brute[(0, 1)][0] == expected_count
 
@@ -111,7 +123,7 @@ def test_graph_single_cluster_no_edges():
     ids = np.zeros((4, 4), dtype=np.int32)
     graph = build_neighborhood_graph(_dm(np.ones((4, 4))), ClusterMap(ids))
     assert set(graph.nodes) == {0}
-    assert graph.edges == {}
+    assert len(graph.edges) == 0
 
 
 def test_graph_three_in_a_row_is_path():
@@ -121,7 +133,7 @@ def test_graph_three_in_a_row_is_path():
     ids[:, 6:9] = 2
     dm = _dm(np.ones((6, 9)))
     graph = build_neighborhood_graph(dm, ClusterMap(ids))
-    assert sorted(graph.edges) == [(0, 1), (1, 2)]
+    assert _pairs(graph.edges) == [(0, 1), (1, 2)]
     brute = brute_boundary_stats(dm, ClusterMap(ids), 8)
     assert sorted(brute) == [(0, 1), (1, 2)]
 
@@ -140,13 +152,14 @@ def test_graph_fields_match_brute_oracle():
         for m in (cm, cm_nohint):
             graph = build_neighborhood_graph(dm, m, conn)
             brute = brute_boundary_stats(dm, m, conn)
-            assert sorted(graph.edges) == sorted(brute)
-            for key, edge in graph.edges.items():
+            e = graph.edges
+            assert _pairs(e) == sorted(brute)
+            for i, key in enumerate(_pairs(e)):
                 cnt, mxd, dists = brute[key]
-                assert edge.boundary_px_count == cnt
-                assert edge.max_boundary_density == pytest.approx(mxd)
-                for cid in key:
-                    assert edge.nearest_dist[cid] == pytest.approx(dists[cid])
+                assert e.count[i] == cnt
+                assert e.max_density[i] == pytest.approx(mxd)
+                for side, cid in enumerate(key):
+                    assert e.dist[i, side] == pytest.approx(dists[cid])
             areas = np.bincount(m.ids[m.ids >= 0].ravel())
             for cid, node in graph.nodes.items():
                 assert node.area_px == areas[cid]
@@ -181,7 +194,7 @@ def test_union_far_peaks_never_merge():
     dm = two_gauss_far()
     cm = initial_clusters(dm)
     graph = build_neighborhood_graph(dm, cm)
-    assert all(e.score() > 8.0 for e in graph.edges.values())
+    assert (graph.edges.dist.min(axis=1) > 8.0).all()
     g2, _ = union_clusters(graph, cm, ClusterParams(merge_distance_px=8.0))
     assert len(g2.nodes) == 2
 
@@ -204,18 +217,19 @@ def test_union_chain_cascade_and_coalesce():
     cm = initial_clusters(dm)
     graph = build_neighborhood_graph(dm, cm)
     assert len(graph.nodes) == 3
-    assert sorted(graph.edges) == [(0, 1), (0, 2), (1, 2)]
+    assert _pairs(graph.edges) == [(0, 1), (0, 2), (1, 2)]
 
     g0, _ = union_clusters(graph, cm, ClusterParams(merge_distance_px=0.0))
     assert sorted(g0.nodes) == [0, 1, 2]
     g3, _ = union_clusters(graph, cm, ClusterParams(merge_distance_px=3.0))
     assert sorted(g3.nodes) == [0, 2]
-    assert list(g3.edges) == [(0, 2)]
+    assert _pairs(g3.edges) == [(0, 2)]
     # the coalesced edge keeps C's closest boundary summary from the old B-C edge
-    assert g3.edges[(0, 2)].nearest_dist[2] == \
-        min(graph.edges[(1, 2)].nearest_dist[2], graph.edges[(0, 2)].nearest_dist[2])
-    assert g3.edges[(0, 2)].boundary_px_count == \
-        graph.edges[(0, 2)].boundary_px_count + graph.edges[(1, 2)].boundary_px_count
+    ac, bc = _row(graph.edges, 0, 2), _row(graph.edges, 1, 2)
+    assert g3.edges.dist[0, 1] == \
+        min(graph.edges.dist[bc, 1], graph.edges.dist[ac, 1])
+    assert g3.edges.count[0] == \
+        graph.edges.count[ac] + graph.edges.count[bc]
     g8, _ = union_clusters(graph, cm, ClusterParams(merge_distance_px=8.0))
     assert sorted(g8.nodes) == [0]
     assert g8.nodes[0].area_px == sum(n.area_px for n in graph.nodes.values())
@@ -231,8 +245,8 @@ def test_union_postconditions_random_maps():
         for md in (0.5, 2.0, 6.0):
             g2, cm2 = union_clusters(graph, cm, ClusterParams(merge_distance_px=md))
             # termination: no remaining edge satisfies the merge criterion
-            for edge in g2.edges.values():
-                assert edge.score() > md
+            for score in g2.edges.dist.min(axis=1):
+                assert score > md
             assert sum(n.area_px for n in g2.nodes.values()) == total_area
             for cid, node in g2.nodes.items():
                 assert node.peak_density == initial_peaks[cid]
@@ -328,7 +342,7 @@ def test_pipeline_three_blob_phase_counts():
     assert len(g2.nodes) == 3      # satellite merged into its neighbor
     g3, cm3 = truncate_clusters(dm, cm2, g2, params)
     assert len(g3.nodes) == 3
-    assert g3.edges == {}          # truncated islands are disjoint
+    assert len(g3.edges) == 0      # truncated islands are disjoint
 
 
 def test_pipeline_all_zero():
@@ -343,7 +357,7 @@ def test_pipeline_deterministic():
     b_map, b_graph = cluster_density_map(dm)
     assert np.array_equal(a_map.ids, b_map.ids)
     assert list(a_graph.nodes) == list(b_graph.nodes)
-    assert list(a_graph.edges) == list(b_graph.edges)
+    assert _pairs(a_graph.edges) == _pairs(b_graph.edges)
 
 
 def test_pipeline_degenerate_strip_grids():
@@ -376,6 +390,34 @@ def test_pipeline_monotone_phase_counts_corpus(fixture_corpus):
         assert len(g3.nodes) <= len(g2.nodes), name
         for cid, node in g3.nodes.items():
             assert node.area_px <= g2.nodes[cid].area_px, name
+
+
+def test_edge_pixels_corpus(fixture_corpus):
+    # every edge side's pixel lies in its own cluster, touches the other
+    # cluster and is dist away from its own peak; union re-measures the
+    # absorbed sides, so its output is checked as well as build's
+    sides = 0
+    for (name, dm, base), conn, md in itertools.product(
+            fixture_corpus, (4, 8), (0.0, 1.5, 8.0)):
+        params = replace(base, connectivity=conn, merge_distance_px=md)
+        cm = initial_clusters(dm, conn)
+        g1 = build_neighborhood_graph(dm, cm, conn)
+        g2, cm2 = union_clusters(g1, cm, params)
+        g3, cm3 = truncate_clusters(dm, cm2, g2, params)
+        for graph, m in ((g1, cm), (g2, cm2), (g3, cm3)):
+            e = graph.edges
+            h, w = m.ids.shape
+            for i, pair in enumerate(_pairs(e)):
+                for side, (own, other) in enumerate((pair, pair[::-1])):
+                    y, x = divmod(int(e.pixel[i, side]), w)
+                    assert m.ids[y, x] == own, name
+                    assert any(0 <= x + dx < w and 0 <= y + dy < h
+                               and m.ids[y + dy, x + dx] == other
+                               for dx, dy in NEIGHBOR_OFFSETS[conn]), name
+                    px, py = graph.nodes[own].peak_xy
+                    assert e.dist[i, side] == math.hypot(x - px, y - py), name
+                    sides += 1
+    assert sides > 10000
 
 
 def test_pipeline_region_validity_corpus(fixture_corpus):

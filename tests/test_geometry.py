@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densitycluster.clustering import (ClusterGraph, ClusterMap, ClusterNode,
-                                       cluster_density_map)
+from densitycluster.clustering import (ClusterEdges, ClusterGraph, ClusterMap,
+                                       ClusterNode, cluster_density_map)
 from densitycluster.density import Viewport
 from densitycluster.errors import ClusterNotFoundError, ParameterError
 from densitycluster.geometry import (color_clusters, count_color_conflicts,
@@ -200,11 +200,10 @@ def test_to_data_space_round_trip():
 
 def _graph_with_edges(n, pairs) -> ClusterGraph:
     nodes = {i: ClusterNode(i, (0, 0), 1.0, 1) for i in range(n)}
-    edges = {}
-    from densitycluster.clustering import ClusterEdge
-    for a, b in pairs:
-        edges[(a, b)] = ClusterEdge((a, b), 1, 1.0, {a: 1.0, b: 1.0},
-                                    {a: (0, 0), b: (0, 0)})
+    m = len(pairs)
+    a, b = np.array(pairs, dtype=np.int64).reshape(m, 2).T
+    edges = ClusterEdges(a, b, np.ones(m, dtype=np.int64), np.ones(m),
+                         np.ones((m, 2)), np.zeros((m, 2), dtype=np.int64))
     return ClusterGraph(nodes, edges)
 
 

@@ -1,9 +1,12 @@
 import contextlib
 import json
 import math
+import os
 import pathlib
 import re
 import sqlite3
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import densitycluster
 import densitycluster.io as dio
 from densitycluster.cli import main
 from densitycluster.density import DensityMap, Viewport
@@ -265,6 +269,58 @@ def test_cli_exit_codes(tmp_path):
                  str(DATA / "two_gaussians_clusters.json"),
                  "--cluster-id", "99999"]) == 3
     assert main(["bench", "--sizes", "32"]) == 1        # sizes must be >= 64
+
+
+_DEEP = b"[" * 200_000
+_LONG_INT = b'{"x": ' + b"1" * 5000 + b', "y": 2}'  # beyond int's str limit
+_DOC_BYTES = (DATA / "two_gaussians_clusters.json").read_bytes()
+_NON_UTF8_DOC = _DOC_BYTES[:1] + b"\xff" + _DOC_BYTES[1:]
+_POINTS = ["--input", "{f}", "--output", "{out}"]
+_LABEL = ["label", "--input", str(FIXTURE_CSV), "--text-col", "text",
+          "--output", "{out}", "--cluster-json", "{f}"]
+_CONFIG = ["cluster", "--input", str(FIXTURE_CSV), "--output", "{out}",
+           "--config", "{f}"]
+
+
+@pytest.mark.parametrize("argv, data, rc, message", [
+    (["cluster", *_POINTS], b"x,y\n1,2\n\xff,3\n", 3, "not UTF-8 text"),
+    (["cluster", "--format", "jsonl", *_POINTS], b'{"x":1,"y":2}\n\xff\n', 3,
+     "not UTF-8 text"),
+    (["cluster", "--format", "jsonl", *_POINTS], b'{"x":1,"y":2}\n' + _DEEP, 3,
+     "1 of 2 rows malformed (first at row 2)"),
+    (["cluster", "--format", "jsonl", *_POINTS], b'{"x":1,"y":2}\n' + _LONG_INT,
+     3, "1 of 2 rows malformed (first at row 2)"),
+    (["render", "--output", "{out}", "--cluster-json", "{f}"], _NON_UTF8_DOC, 3,
+     "not valid JSON"),
+    (["sql", "--cluster-id", "92", "--cluster-json", "{f}"], _NON_UTF8_DOC, 3,
+     "not valid JSON"),
+    (_LABEL, _NON_UTF8_DOC, 3, "not valid JSON"),
+    (["sql", "--cluster-id", "92", "--cluster-json", "{f}"], _DEEP, 3,
+     "not valid JSON"),
+    (["sql", "--cluster-id", "92", "--cluster-json", "{f}"], _LONG_INT, 3,
+     "not valid JSON"),
+    (_CONFIG, b'{"width": 32\xff}', 1, "not valid JSON"),
+    (_CONFIG, _DEEP, 1, "not valid JSON"),
+    (_CONFIG, _LONG_INT, 1, "not valid JSON"),
+], ids=["csv_non_utf8", "jsonl_non_utf8", "jsonl_deep_row", "jsonl_long_int_row",
+        "render_non_utf8", "sql_non_utf8", "label_non_utf8", "sql_deep_doc",
+        "sql_long_int_doc", "config_non_utf8", "config_deep", "config_long_int"])
+def test_cli_bad_input_bytes_exit_without_traceback(tmp_path, capsys, argv, data,
+                                                    rc, message):
+    bad = tmp_path / "input"
+    bad.write_bytes(data)
+    argv = [a.format(f=bad, out=tmp_path / "out") for a in argv]
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_out():
+    # only smooth needs scipy; render, label and sql must not pay to import it
+    src = pathlib.Path(densitycluster.__file__).parents[1]
+    code = "import sys, densitycluster.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def _invert_viewport(doc):
