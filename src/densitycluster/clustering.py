@@ -19,6 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,12 +85,14 @@ class ClusterMap:
     cluster id (-1 for dead ids). It is an optimization carried along the
     pipeline; maps built by hand work without it.
 
-    ids must not be modified after construction: runs and boundary are
-    computed from them once and cached.
+    ids must not be modified after construction: runs, boundary, rects and
+    rings are computed from them once and cached.
     """
 
     ids: np.ndarray
     peak_hint: np.ndarray | None = None
+    _rings: dict[int, RingTable] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids)
@@ -161,6 +164,131 @@ class ClusterMap:
         succ = np.searchsorted(start, ((val * (h + 1) + ey) * (w + 1) + ex)[order])
         pinch = np.append(start[1:] == start[:-1], False)[succ]
         return val[order], sx[order], sy[order], direction[order], succ, pinch
+
+    @cached_property
+    def rects(self) -> RectTable:
+        """Every cluster's exact disjoint rectangle cover.
+
+        Runs with the same cluster and x-extent in consecutive rows merge into
+        one rectangle.
+        """
+        val, row, x0, x1 = self.runs
+        order = np.lexsort((row, x1, x0, val))
+        v, r, a, b = val[order], row[order], x0[order], x1[order]
+        # sorted so, a rect starts where the cluster or span changes or a row
+        # is missing; marking each rect's height at its first run leaves the
+        # rects in the runs' own (val, row, x0) order, which is (val, y0, x0)
+        start = np.ones(val.size, dtype=bool)
+        start[1:] = ((v[1:] != v[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+                     | (r[1:] != r[:-1] + 1))
+        first = np.flatnonzero(start)
+        height = np.zeros_like(row)
+        height[order[first]] = np.diff(np.append(first, val.size))
+        head = np.flatnonzero(height)
+        val, x0, y0, x1 = val[head], x0[head], row[head], x1[head]
+        y1 = y0 + height[head]
+        bounds = np.stack((x0, y0, x1, y1))
+        return RectTable(val, x0, y0, x1, y1, _spans(val),
+                         list(zip(*bounds.tolist())),
+                         list(zip(*bounds.astype(float).tolist())))
+
+    def rings(self, connectivity: int) -> RingTable:
+        """Every cluster's boundary rings under one connectivity (cached).
+
+        Each boundary segment continues with segment succ, or at a pinch
+        corner with whichever of succ and succ + 1 the turn rule picks: right
+        for 8-connectivity (keeping a diagonally linked region on one ring),
+        left for 4-connectivity. Each ring is one cycle of that successor,
+        listed from its smallest segment index, which leaves the ring's
+        smallest (y, x) corner; rings are sorted by that index, so the rings
+        of one cluster are contiguous.
+        """
+        if connectivity not in (4, 8):
+            raise ParameterError("connectivity must be 4 or 8")
+        if connectivity not in self._rings:
+            self._rings[connectivity] = self._trace_rings(connectivity)
+        return self._rings[connectivity]
+
+    def _trace_rings(self, connectivity: int) -> RingTable:
+        val, x, y, direction, succ, pinch = self.boundary
+        turn = -1 if connectivity == 8 else 1
+        # at a pinch corner the two leaving segments are in direction order
+        nxt = succ + (pinch & (direction[succ] != (direction + turn) % 4))
+        index = np.arange(val.size)
+        # pointer doubling: after k rounds first[i] is the smallest index
+        # among the 2**k segments from i on; it stops changing once that
+        # window covers the whole ring
+        first, jump = index, nxt
+        while True:
+            lower = np.minimum(first, first[jump])
+            if np.array_equal(lower, first):
+                break
+            first, jump = lower, jump[jump]
+        is_first = first == index
+        ring = (np.cumsum(is_first) - 1)[first]
+        # list ranking: cut each ring before its first segment and count
+        # every segment's steps to the cut, doubling again
+        last = is_first[nxt]
+        jump = np.where(last, index, nxt)
+        togo = (~last).astype(np.int64)
+        while True:
+            ahead = jump[jump]
+            if np.array_equal(ahead, jump):
+                break
+            togo, jump = togo + togo[jump], ahead
+        sizes = np.bincount(ring)
+        stop = np.cumsum(sizes)
+        order = np.empty_like(index)
+        order[stop[ring] - 1 - togo] = index
+        # twice the shoelace area of each ring; holes wind clockwise
+        cross = x * y[nxt] - x[nxt] * y
+        holes = np.bincount(ring, weights=cross) < 0
+        corners = tuple(zip(x[order].astype(float).tolist(),
+                            y[order].astype(float).tolist()))
+        bounds = [0] + stop.tolist()
+        vertices = [corners[a:b] for a, b in zip(bounds, bounds[1:])]
+        return RingTable(_spans(val[is_first]), vertices, holes.tolist())
+
+
+class RectTable(NamedTuple):
+    """Rectangle covers of every cluster of a map (ClusterMap.rects).
+
+    Rect i is the half-open pixel box [x0, x1) x [y0, y1) of cluster val[i];
+    rects are sorted by (val, y0, x0). rows and float_rows hold the same
+    (x0, y0, x1, y1) as int and float tuples, and span maps each cluster id
+    to its (start, stop) range of rects.
+    """
+
+    val: np.ndarray
+    x0: np.ndarray
+    y0: np.ndarray
+    x1: np.ndarray
+    y1: np.ndarray
+    span: dict[int, tuple[int, int]]
+    rows: list[tuple[int, int, int, int]]
+    float_rows: list[tuple[float, float, float, float]]
+
+
+class RingTable(NamedTuple):
+    """Boundary rings of every cluster of a map under one connectivity.
+
+    vertices[i] are ring i's pixel corners as float pairs, and hole[i] tells
+    whether it winds clockwise; span maps each cluster id to its
+    (start, stop) range of rings.
+    """
+
+    span: dict[int, tuple[int, int]]
+    vertices: list[tuple[tuple[float, float], ...]]
+    hole: list[bool]
+
+
+def _spans(val: np.ndarray) -> dict[int, tuple[int, int]]:
+    """{v: (start, stop)} of each value's run in a sorted array."""
+    if val.size == 0:
+        return {}
+    cut = (np.flatnonzero(val[1:] != val[:-1]) + 1).tolist()
+    starts = [0] + cut
+    return dict(zip(val[starts].tolist(), zip(starts, cut + [val.size])))
 
 
 def _runs(ids2: np.ndarray):

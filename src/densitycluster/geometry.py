@@ -4,12 +4,14 @@ Boundaries are traced along pixel-cell edges ("cracks"), with vertices at
 integer pixel corners, so rasterizing the rings reproduces the pixel region
 exactly. Outer rings wind counterclockwise (positive shoelace area, y up),
 hole rings clockwise.
+
+Every cluster's rings and rects are built at once per map, as the cached
+tables ClusterMap.rings(connectivity) and ClusterMap.rects; trace_boundary
+and decompose_rectangles return one cluster's slice of them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .clustering import ClusterGraph, ClusterMap
 from .density import Viewport
@@ -54,14 +56,6 @@ class ClusterShape:
     rects: list[tuple[float, float, float, float]] = field(default_factory=list)
 
 
-def _cluster_span(val: np.ndarray, cluster_id: int) -> slice:
-    """The rows of one cluster in a table sorted by cluster id val."""
-    a, b = np.searchsorted(val, (cluster_id, cluster_id + 1))
-    if a == b:
-        raise ClusterNotFoundError(cluster_id)
-    return slice(a, b)
-
-
 def trace_boundary(cmap: ClusterMap, cluster_id: int,
                    connectivity: int = 8) -> ClusterShape:
     """Trace the outer ring and hole rings of one cluster's pixel region.
@@ -69,45 +63,21 @@ def trace_boundary(cmap: ClusterMap, cluster_id: int,
     The region must be connected under the given connectivity. At pinch
     corners (two diagonal pixels in, two out) the walk turns right for
     8-connectivity (keeping a diagonally linked region on one ring) and left
-    for 4-connectivity.
+    for 4-connectivity. The rings are the cluster's slice of
+    cmap.rings(connectivity).
     """
-    if connectivity not in (4, 8):
-        raise ParameterError("connectivity must be 4 or 8")
-    val, x, y, direction, succ, pinch = cmap.boundary
-    k = _cluster_span(val, cluster_id)
-    corners = list(zip(x[k].astype(float).tolist(), y[k].astype(float).tolist()))
-    dirs = direction[k].tolist()
-    nxt = (succ[k] - k.start).tolist()
-    pinched = pinch[k].tolist()
-    turn = -1 if connectivity == 8 else 1
-
-    # Rings start at their first unused segment in table order, which leaves
-    # the ring's smallest (y, x) corner; no second ring still leaves that
-    # corner. At a pinch corner the two leaving segments are in direction
-    # order, and the turn rule picks the one that continues the ring.
-    used = [False] * len(dirs)
-    rings: list[PolygonRing] = []
-    for first in range(len(dirs)):
-        if used[first]:
-            continue
-        ring = []
-        s = first
-        while not used[s]:
-            used[s] = True
-            ring.append(corners[s])
-            t = nxt[s]
-            if pinched[s] and dirs[t] != (dirs[s] + turn) % 4:
-                t += 1
-            s = t
-        rings.append(PolygonRing(tuple(ring)))
-
-    outer = [r for r in rings if not r.is_hole]
+    table = cmap.rings(connectivity)
+    a, b = _span(table.span, cluster_id)
+    outer: list[PolygonRing] = []
+    holes: list[PolygonRing] = []
+    for vertices, hole in zip(table.vertices[a:b], table.hole[a:b]):
+        (holes if hole else outer).append(PolygonRing(vertices))
     if len(outer) != 1:
         raise DataError(
             f"cluster {cluster_id} region is not connected under "
             f"{connectivity}-connectivity ({len(outer)} outer rings)"
         )
-    return ClusterShape(cluster_id, outer[0], [r for r in rings if r.is_hole])
+    return ClusterShape(cluster_id, outer[0], holes)
 
 
 def decompose_rectangles(cmap: ClusterMap, cluster_id: int
@@ -116,21 +86,19 @@ def decompose_rectangles(cmap: ClusterMap, cluster_id: int
 
     Maximal horizontal runs per row; vertically adjacent runs with the same
     x-extent merge into one rectangle. Rectangles are (x0, y0, x1, y1)
-    half-open pixel bounds, listed by (y0, x0).
+    half-open pixel bounds, listed by (y0, x0): the cluster's slice of
+    cmap.rects.
     """
-    val, row, x0, x1 = cmap.runs
-    k = _cluster_span(val, cluster_id)
-    row, x0, x1 = row[k], x0[k], x1[k]
-    order = np.lexsort((row, x1, x0))
-    row, x0, x1 = row[order], x0[order], x1[order]
-    # a rect starts where the span changes or the previous row is missing
-    start = np.ones(row.shape[0], dtype=bool)
-    start[1:] = (x0[1:] != x0[:-1]) | (x1[1:] != x1[:-1]) | (row[1:] != row[:-1] + 1)
-    first = np.flatnonzero(start)
-    last = np.append(first[1:], row.shape[0]) - 1
-    rects = np.stack([x0[first], row[first], x1[first], row[last] + 1], axis=1)
-    rects = rects[np.lexsort((rects[:, 0], rects[:, 1]))]
-    return [tuple(r) for r in rects.tolist()]
+    a, b = _span(cmap.rects.span, cluster_id)
+    return cmap.rects.rows[a:b]
+
+
+def _span(span: dict[int, tuple[int, int]], cluster_id: int) -> tuple[int, int]:
+    """The (start, stop) rows of one cluster in a map table."""
+    try:
+        return span[cluster_id]
+    except KeyError:
+        raise ClusterNotFoundError(cluster_id) from None
 
 
 def to_data_space(shape: ClusterShape, viewport: Viewport) -> ClusterShape:
@@ -154,8 +122,9 @@ def shape_for_cluster(cmap: ClusterMap, cluster_id: int,
                       connectivity: int = 8) -> ClusterShape:
     """trace_boundary plus decompose_rectangles in one call (pixel space)."""
     shape = trace_boundary(cmap, cluster_id, connectivity)
-    shape.rects = [tuple(float(v) for v in r)
-                   for r in decompose_rectangles(cmap, cluster_id)]
+    rects = decompose_rectangles(cmap, cluster_id)
+    a = cmap.rects.span[cluster_id][0]
+    shape.rects = cmap.rects.float_rows[a:a + len(rects)]
     return shape
 
 

@@ -99,15 +99,14 @@ def assign_documents(points: PointBatch, shapes: list[ClusterShape],
     # cases and out-of-grid points) fall back to a scan over all rects
     w, h = viewport.width, viewport.height
     grid = np.full(h * w, -1, dtype=np.int64)
-    for i in range(len(rcid)):
-        px0 = int(round((rx0[i] - viewport.x_min) / viewport.sx))
-        py0 = int(round((ry0[i] - viewport.y_min) / viewport.sy))
-        px1 = int(round((rx1[i] - viewport.x_min) / viewport.sx))
-        py1 = int(round((ry1[i] - viewport.y_min) / viewport.sy))
-        px0, py0 = max(px0, 0), max(py0, 0)
-        px1, py1 = min(px1, w), min(py1, h)
-        block = grid.reshape(h, w)[py0:py1, px0:px1]
-        block[...] = i
+    # clip as floats: bounds far outside the grid may not fit an integer
+    with np.errstate(over="ignore"):
+        pxs = np.clip(np.rint((np.stack((rx0, rx1)) - viewport.x_min) / viewport.sx), 0, w)
+        pys = np.clip(np.rint((np.stack((ry0, ry1)) - viewport.y_min) / viewport.sy), 0, h)
+    painted = grid.reshape(h, w)
+    for i, (px0, px1, py0, py1) in enumerate(zip(*pxs.astype(np.int64).tolist(),
+                                                 *pys.astype(np.int64).tolist())):
+        painted[py0:py1, px0:px1] = i
 
     xs, ys = points.xs, points.ys
     finite = np.isfinite(xs) & np.isfinite(ys)

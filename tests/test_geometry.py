@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from densitycluster.clustering import (ClusterEdges, ClusterGraph, ClusterMap,
                                        ClusterNode, cluster_density_map)
 from densitycluster.density import Viewport
-from densitycluster.errors import ClusterNotFoundError, ParameterError
+from densitycluster.errors import (ClusterNotFoundError, DataError,
+                                   ParameterError)
 from densitycluster.geometry import (color_clusters, count_color_conflicts,
                                      decompose_rectangles, shape_for_cluster,
                                      to_data_space, trace_boundary)
@@ -159,6 +160,58 @@ def test_rects_exact_disjoint_cover(seed):
         total += (x1 - x0) * (y1 - y0)
     assert covered == region_pixels(cmap, 0)
     assert total == int(mask.sum())
+
+
+# ------------------------------------------------------------------ map tables
+
+def _shape_or_error(cmap, cluster_id, connectivity):
+    try:
+        shape = shape_for_cluster(cmap, cluster_id, connectivity)
+    except DataError as exc:
+        return str(exc)
+    return shape.outer, shape.holes, shape.rects
+
+
+def test_ring_tables_independent_of_cache_order(fixture_corpus):
+    # rings under 4 and under 8 are cached side by side on one map object
+    for name, dm, params in fixture_corpus:
+        cmap, graph = cluster_density_map(dm, params)
+        shared = ClusterMap(cmap.ids)
+        for conn in (4, 8):
+            for cid in sorted(graph.nodes):
+                assert _shape_or_error(shared, cid, conn) == \
+                    _shape_or_error(ClusterMap(cmap.ids), cid, conn), (name, conn, cid)
+
+
+def test_disconnected_cluster_fails_alone():
+    # cluster 1 is a diagonal pair: one region under 8-connectivity only
+    ids = np.full((6, 7), -1, dtype=np.int32)
+    ids[0:2, 0:3] = 0
+    ids[3, 1] = ids[4, 2] = 1
+    ids[1:6, 4:7] = 2
+    ids[3, 5] = 3
+    cmap = ClusterMap(ids)
+    with pytest.raises(DataError, match="4-connectivity \\(2 outer rings\\)"):
+        trace_boundary(cmap, 1, 4)
+    for cid in (0, 2, 3):
+        shape = trace_boundary(cmap, cid, 4)
+        assert rasterize_rings(shape.outer, shape.holes) == region_pixels(cmap, cid)
+    assert len(trace_boundary(cmap, 2, 4).holes) == 1
+    shape = trace_boundary(cmap, 1, 8)
+    assert rasterize_rings(shape.outer, shape.holes) == {(1, 3), (2, 4)}
+
+
+def test_rect_table_slices_cover_every_corpus_cluster(fixture_corpus):
+    for name, dm, params in fixture_corpus:
+        cmap, graph = cluster_density_map(dm, params)
+        for cid in sorted(graph.nodes):
+            rects = decompose_rectangles(cmap, cid)
+            assert rects == sorted(rects, key=lambda r: (r[1], r[0])), (name, cid)
+            cells = [(x, y) for x0, y0, x1, y1 in rects
+                     for y in range(y0, y1) for x in range(x0, x1)]
+            assert all(x0 < x1 and y0 < y1 for x0, y0, x1, y1 in rects)
+            assert len(cells) == len(set(cells)), (name, cid)  # disjoint
+            assert set(cells) == region_pixels(cmap, cid), (name, cid)
 
 
 # ------------------------------------------------------------------ transform

@@ -323,6 +323,26 @@ def test_cli_import_leaves_scipy_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_cluster_imports_scipy_before_the_kde_clock(tmp_path):
+    # kde_ms times smooth; the lazy scipy import must happen before it starts
+    src = pathlib.Path(densitycluster.__file__).parents[1]
+    code = (
+        "import sys, densitycluster.cli as cli\n"
+        "inner = cli.smooth\n"
+        "def smooth(*args):\n"
+        "    assert 'scipy.ndimage' in sys.modules\n"
+        "    return inner(*args)\n"
+        "cli.smooth = smooth\n"
+        f"sys.exit(cli.main(['cluster', '--input', {str(FIXTURE_CSV)!r},"
+        f" '--output', {str(tmp_path / 'c.json')!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "kde_ms=" in run.stdout
+
+
 def _invert_viewport(doc):
     vp = doc["viewport"]
     vp["x_min"], vp["x_max"] = vp["x_max"], vp["x_min"]
@@ -392,6 +412,16 @@ def test_cli_label_unallocatable_viewport_is_data_error(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(_doc_argv("label", tmp_path) + ["--cluster-json", str(bad)]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_label_rect_beyond_float_range_assigns(tmp_path, capsys):
+    # a rect bound that passes validation but overflows when mapped to pixels
+    doc = json.loads(json.dumps(_FIXTURE_DOC))
+    doc["clusters"][0]["rects"][0] = [3.0, -1e308, 4.0, 5.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_doc_argv("label", tmp_path) + ["--cluster-json", str(bad)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _doc_argv(command, out_dir):
