@@ -73,80 +73,58 @@ def assign_documents(points: PointBatch, shapes: list[ClusterShape],
     """Attach each document index to the cluster whose rectangle contains it.
 
     Containment is half-open (x0 <= x < x1, y0 <= y < y1) over the shapes'
-    data-space rects; rects of distinct clusters are disjoint, so at most one
-    cluster matches. Unmatched documents stay unassigned.
+    data-space rects. Unmatched documents stay unassigned. `viewport` is not
+    read: the lookup is sized by the rects alone.
+
+    The lookup is the slab method of point location (Dobkin & Lipton, SIAM J.
+    Comput. 1976). The rects' own y0/y1 values cut the plane into y-bands and
+    their x0/x1 values into x-ranks; each rect is one entry per band it
+    covers, sorted by (band, rank of x0). A point's candidate is the last
+    entry at or before its (band, x-rank) key, and it matches iff that entry
+    is in the point's band and the point's x-rank is below the rank of the
+    entry's x1. The edges are the rects' own floats, so this is the exact
+    half-open test, with no rounding; NaN and infinite points match nothing.
+
+    Rects must be disjoint, as `cluster` writes them: a point inside
+    overlapping (hand-edited) rects may get either rect or none. Memory is
+    one entry per (rect, y-band). For a document written by `cluster` that is
+    at most the map's pixel runs; for a crafted document it can grow
+    quadratically with the rect count, the slab method's known bound; an
+    allocation failure there still exits 3 through `cli.main`.
     """
-    n = len(points)
-    result: dict[int, list] = {s.cluster_id: [] for s in shapes}
-    rx0, ry0, rx1, ry1, rcid = [], [], [], [], []
-    for s in shapes:
-        for r in s.rects:
-            rx0.append(r[0])
-            ry0.append(r[1])
-            rx1.append(r[2])
-            ry1.append(r[3])
-            rcid.append(s.cluster_id)
-    if n == 0 or not rcid:
-        return {cid: np.empty(0, dtype=np.int64) for cid in result}
-    rx0 = np.array(rx0)
-    ry0 = np.array(ry0)
-    rx1 = np.array(rx1)
-    ry1 = np.array(ry1)
-    rcid_arr = np.array(rcid, dtype=np.int64)
+    # clusters are numbered by their rank among the sorted ids
+    cids = sorted({s.cluster_id for s in shapes})
+    slot = {cid: i for i, cid in enumerate(cids)}
+    rects = np.array([r for s in shapes for r in s.rects], dtype=np.float64).reshape(-1, 4)
+    rect_slot = np.array([slot[s.cluster_id] for s in shapes for _ in s.rects],
+                         dtype=np.int64)
+    keep = (rects[:, 0] < rects[:, 2]) & (rects[:, 1] < rects[:, 3])  # others hold nothing
+    rects, rect_slot = rects[keep], rect_slot[keep]
 
-    # fast path: look the containing rect up through the pixel grid, then
-    # verify with the exact data-space comparisons; stragglers (float ulp
-    # cases and out-of-grid points) fall back to a scan over all rects
-    w, h = viewport.width, viewport.height
-    grid = np.full(h * w, -1, dtype=np.int64)
-    # clip as floats: bounds far outside the grid may not fit an integer
-    with np.errstate(over="ignore"):
-        pxs = np.clip(np.rint((np.stack((rx0, rx1)) - viewport.x_min) / viewport.sx), 0, w)
-        pys = np.clip(np.rint((np.stack((ry0, ry1)) - viewport.y_min) / viewport.sy), 0, h)
-    painted = grid.reshape(h, w)
-    for i, (px0, px1, py0, py1) in enumerate(zip(*pxs.astype(np.int64).tolist(),
-                                                 *pys.astype(np.int64).tolist())):
-        painted[py0:py1, px0:px1] = i
+    xe, ye = np.unique(rects[:, 0::2]), np.unique(rects[:, 1::2])
+    rank0, rank1 = np.searchsorted(xe, rects[:, 0]), np.searchsorted(xe, rects[:, 2])
+    band0 = np.searchsorted(ye, rects[:, 1])
+    bands = np.searchsorted(ye, rects[:, 3]) - band0
+    # one entry per (rect, band it covers), sorted by (band, rank of x0)
+    rect = np.repeat(np.arange(len(rects)), bands)
+    band = np.arange(len(rect)) + (band0 + bands - np.cumsum(bands))[rect]
+    stride = len(xe) + 1
+    key = band * stride + rank0[rect]
+    order = np.argsort(key, kind="stable")
+    key, rect, band = key[order], rect[order], band[order]
 
-    xs, ys = points.xs, points.ys
-    finite = np.isfinite(xs) & np.isfinite(ys)
-    px = np.zeros(n, dtype=np.int64)
-    py = np.zeros(n, dtype=np.int64)
-    if finite.any():
-        px[finite] = np.clip(np.floor((xs[finite] - viewport.x_min) / viewport.sx),
-                             0, w - 1).astype(np.int64)
-        py[finite] = np.clip(np.floor((ys[finite] - viewport.y_min) / viewport.sy),
-                             0, h - 1).astype(np.int64)
-    cand = np.where(finite, grid[py * w + px], -1)
-    has = cand >= 0
-    ok = has.copy()
-    if has.any():
-        ci = cand[has]
-        ok[has] = ((xs[has] >= rx0[ci]) & (xs[has] < rx1[ci])
-                   & (ys[has] >= ry0[ci]) & (ys[has] < ry1[ci]))
+    pband = np.searchsorted(ye, points.ys, "right") - 1
+    prank = np.searchsorted(xe, points.xs, "right") - 1
+    assigned = np.full(len(points), -1, dtype=np.int64)
+    if len(key):
+        j = np.searchsorted(key, pband * stride + prank, "right") - 1
+        hit = (j >= 0) & (band[j] == pband) & (prank < rank1[rect[j]])
+        assigned[hit] = rect_slot[rect[j[hit]]]
 
-    assigned = np.full(n, -1, dtype=np.int64)
-    assigned[ok] = rcid_arr[cand[ok]]
-    # only points within two pixels of a covered cell can sit within float
-    # rounding of a rect boundary; everything farther out cannot match
-    near = (grid >= 0).reshape(h, w)
-    for _ in range(2):
-        grown = near.copy()
-        grown[1:, :] |= near[:-1, :]
-        grown[:-1, :] |= near[1:, :]
-        grown[:, 1:] |= near[:, :-1]
-        grown[:, :-1] |= near[:, 1:]
-        near = grown
-    for i in np.flatnonzero(~ok & finite & near[py, px]):
-        hit = np.flatnonzero((xs[i] >= rx0) & (xs[i] < rx1)
-                             & (ys[i] >= ry0) & (ys[i] < ry1))
-        if hit.size:
-            assigned[i] = rcid_arr[hit[0]]
-
-    out: dict[int, np.ndarray] = {}
-    for cid in sorted(result):
-        out[cid] = np.flatnonzero(assigned == cid)
-    return out
+    # one stable sort splits the document indices per cluster, ascending
+    by_cluster = np.argsort(assigned, kind="stable")
+    bounds = np.searchsorted(assigned[by_cluster], np.arange(len(cids) + 1)).tolist()
+    return {cid: by_cluster[bounds[i]:bounds[i + 1]] for i, cid in enumerate(cids)}
 
 
 def ctfidf_labels(assignment: dict[int, np.ndarray], documents,

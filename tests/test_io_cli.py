@@ -403,15 +403,28 @@ def test_cli_malformed_cluster_fields_are_data_errors(tmp_path, command, path,
     assert main(_doc_argv(command, tmp_path) + ["--cluster-json", str(bad)]) == 3
 
 
-def test_cli_label_unallocatable_viewport_is_data_error(tmp_path, capsys):
-    # label assigns documents through a width x height grid; 10**16 cells
-    # exceed any address space, so the allocation fails at once
+def test_cli_cluster_unallocatable_grid_is_data_error(tmp_path, capsys):
+    # a 10**8 x 10**8 density grid exceeds any address space, so the
+    # allocation fails at once
+    assert main(["cluster", "--input", str(FIXTURE_CSV), "--width", "100000000",
+                 "--height", "100000000", "--output", str(tmp_path / "c.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
+def test_cli_label_huge_viewport_reads_rects_only(tmp_path):
+    # label looks documents up among the rects; the viewport's grid size is
+    # never allocated, so a 10**8 x 10**8 viewport labels as the fixture does
     doc = json.loads(json.dumps(_FIXTURE_DOC))
     doc["viewport"]["width"] = doc["viewport"]["height"] = 10**8
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert main(_doc_argv("label", tmp_path) + ["--cluster-json", str(bad)]) == 3
-    assert capsys.readouterr().err.startswith("error:")
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    labels = []
+    for path in (DATA / "two_gaussians_clusters.json", huge):
+        argv = _doc_argv("label", tmp_path) + ["--cluster-json", str(path)]
+        assert main(argv) == 0
+        labels.append((tmp_path / "labels.json").read_bytes())
+    assert labels[0] == labels[1]
 
 
 def test_cli_label_rect_beyond_float_range_assigns(tmp_path, capsys):
@@ -464,6 +477,79 @@ def test_cli_single_field_mutation_never_raises(tmp_path_factory, path, value):
     for command in ("render", "sql", "label"):
         argv = _doc_argv(command, out_dir) + ["--cluster-json", str(mutated)]
         assert main(argv) in (0, 3), (command, path, value)
+
+
+_GRID = ["--width", "32", "--height", "32", "--bandwidth", "1"]
+
+
+@pytest.fixture(scope="module")
+def byte_inputs(tmp_path_factory):
+    """One small valid file of each input kind, and the commands reading it;
+    '{f}' is the (mutated) file and '{d}' a directory for outputs. Grid size
+    and bandwidth are flags, which config values cannot override."""
+    d = tmp_path_factory.mktemp("inputs")
+    csv_text = "".join(FIXTURE_CSV.read_text().splitlines(True)[::50])  # 200 rows
+    (d / "pts.csv").write_text(csv_text)
+    rows = [dict(zip(("x", "y", "text"), line.split(",")))
+            for line in csv_text.splitlines()[1:]]
+    jsonl = "".join(json.dumps({"x": float(r["x"]), "y": float(r["y"]),
+                                "text": r["text"]}) + "\n" for r in rows)
+    config = json.dumps({"merge_distance": 8.0, "truncation_ratio": 0.1,
+                         "connectivity": 8, "palette": 10, "text_col": "text"})
+    assert main(["cluster", "--input", str(d / "pts.csv"), *_GRID, "--output",
+                 str(d / "c.json"), "--density-out", str(d / "d.bin")]) == 0
+    cid = str(read_cluster_document(d / "c.json").clusters[0].id)
+    out = ["--output", "{d}/out"]
+    points = ["--input", "{f}", "--text-col", "text", *out]
+    doc = ["--cluster-json", str(d / "c.json")]
+    return {
+        "csv": (csv_text.encode(), [["cluster", *points, *_GRID],
+                                    ["label", *points, *doc]]),
+        "jsonl": (jsonl.encode(), [["cluster", "--format", "jsonl", *points, *_GRID],
+                                   ["label", "--format", "jsonl", *points, *doc]]),
+        "cluster_json": ((d / "c.json").read_bytes(), [
+            ["render", "--cluster-json", "{f}", *out],
+            ["render", "--cluster-json", "{f}", "--underlay", str(d / "d.bin"), *out],
+            ["sql", "--cluster-json", "{f}", "--cluster-id", cid],
+            ["label", "--input", str(d / "pts.csv"), "--text-col", "text",
+             "--cluster-json", "{f}", *out]]),
+        "config": (config.encode(), [
+            ["cluster", "--config", "{f}", "--input", str(d / "pts.csv"), *_GRID, *out],
+            ["label", "--config", "{f}", "--input", str(d / "pts.csv"), *doc, *out]]),
+        "density_dump": ((d / "d.bin").read_bytes(), [
+            ["render", *doc, "--underlay", "{f}", *out]]),
+    }
+
+
+# (operation, position, bit to flip, byte to insert); number bytes are
+# inserted often so that many mutants still parse
+_BYTE_EDITS = st.lists(st.tuples(
+    st.sampled_from(["flip", "insert", "truncate"]), st.integers(0, 2**20),
+    st.integers(0, 7), st.one_of(st.sampled_from(b"0123456789-.e"),
+                                 st.integers(0, 255))), min_size=1, max_size=3)
+
+
+@pytest.mark.filterwarnings("ignore:skipped")
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["csv", "jsonl", "cluster_json", "config",
+                             "density_dump"]), edits=_BYTE_EDITS)
+def test_cli_byte_mutation_never_raises(tmp_path_factory, byte_inputs, kind, edits):
+    """Flipped, inserted or cut bytes in any input: an exit code, never a raise."""
+    data, commands = byte_inputs[kind]
+    data = bytearray(data)
+    for op, pos, bit, byte in edits:
+        i = pos % (len(data) + 1)
+        if op == "flip" and i < len(data):
+            data[i] ^= 1 << bit
+        elif op == "insert":
+            data.insert(i, byte)
+        else:
+            del data[i:]
+    d = tmp_path_factory.mktemp("mutation")
+    (d / "input").write_bytes(bytes(data))
+    for argv in commands:
+        argv = [a.format(f=d / "input", d=d) for a in argv]
+        assert main(argv) in (0, 1, 2, 3), (kind, argv)
 
 
 def test_cli_render_pixel_space_matches_data_space(tmp_path):

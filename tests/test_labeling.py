@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from densitycluster.clustering import cluster_density_map
-from densitycluster.density import PointBatch, Viewport
+from densitycluster.clustering import ClusterParams, cluster_density_map
+from densitycluster.density import DensityMap, PointBatch, Viewport
 from densitycluster.errors import ParameterError
 from densitycluster.geometry import (ClusterShape, PolygonRing,
                                      shape_for_cluster, to_data_space)
@@ -14,7 +14,7 @@ from densitycluster.labeling import (STOPWORDS, assign_documents,
                                      ctfidf_labels, emit_sql_predicate,
                                      format_number, tokenize)
 
-from conftest import three_blob
+from conftest import noisy_map, three_blob
 
 
 def _shape(cid, rects):
@@ -57,7 +57,9 @@ def test_assign_half_open_corners():
 
 def test_assign_unique_and_unmatched():
     vp = Viewport(0, 4, 0, 4, 4, 4)
-    shapes = [_shape(0, [(0.0, 0.0, 1.0, 1.0)]), _shape(1, [(2.0, 2.0, 3.0, 3.0)])]
+    # shape 1's first rect is empty (x0 == x1): it holds nothing and hides nothing
+    shapes = [_shape(0, [(0.0, 0.0, 1.0, 1.0)]),
+              _shape(1, [(0.5, 0.0, 0.5, 1.0), (2.0, 2.0, 3.0, 3.0)])]
     batch = PointBatch(np.array([0.5, 2.5, 3.7]), np.array([0.5, 2.5, 3.7]),
                        np.ones(3))
     out = assign_documents(batch, shapes, vp)
@@ -106,6 +108,50 @@ def test_assign_nonfinite_points_unassigned():
                        np.ones(2))
     out = assign_documents(batch, shapes, vp)
     assert out[0].size == 0
+
+
+def _first_hit_scan(xs, ys, shapes):
+    """Brute force: each point against every rect, first containing rect wins."""
+    rects = [(s.cluster_id, r) for s in shapes for r in s.rects]
+    out = {s.cluster_id: [] for s in shapes}
+    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        for cid, (x0, y0, x1, y1) in rects:
+            if x0 <= x < x1 and y0 <= y < y1:
+                out[cid].append(i)
+                break
+    return out
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(6, 28),
+       merge=st.sampled_from([0.0, 8.0]), pixel_space=st.booleans())
+def test_assign_matches_first_hit_scan(seed, size, merge, pixel_space):
+    rng = np.random.default_rng(seed)
+    x_min, y_min = rng.uniform(-100, 100, 2)
+    sx, sy = rng.uniform(0.001, 10, 2)
+    vp = Viewport(x_min, x_min + sx * size, y_min, y_min + sy * size, size, size)
+    noise = noisy_map(seed % 1000, size, bandwidth=1.0)
+    cmap, graph = cluster_density_map(DensityMap(vp, noise.values),
+                                      ClusterParams(merge_distance_px=merge))
+    shapes = [shape_for_cluster(cmap, cid) for cid in sorted(graph.nodes)]
+    if pixel_space:  # pass the viewport of the shapes' own space
+        vp = Viewport(0, size, 0, size, size, size)
+    else:
+        shapes = [to_data_space(s, vp) for s in shapes]
+    rects = np.array([r for s in shapes for r in s.rects])
+    lo, hi = rects.min(axis=0), rects.max(axis=0)
+    # random points over and beyond the cover's box ...
+    xs = rng.uniform(lo[0] - (hi[2] - lo[0]), hi[2] + (hi[2] - lo[0]), 300)
+    ys = rng.uniform(lo[1] - (hi[3] - lo[1]), hi[3] + (hi[3] - lo[1]), 300)
+    # ... exact corners of many rects, and non-finite coordinates
+    pick = rng.integers(0, len(rects), 200)
+    xs[:200] = rects[pick, rng.choice([0, 2], 200)]
+    ys[:200] = rects[pick, rng.choice([1, 3], 200)]
+    xs[200:206] = [np.nan, np.inf, -np.inf, lo[0], np.nan, hi[2]]
+    ys[200:206] = [lo[1], lo[1], lo[1], np.nan, np.inf, -np.inf]
+    got = assign_documents(PointBatch(xs, ys, np.ones(len(xs))), shapes, vp)
+    want = _first_hit_scan(xs, ys, shapes)
+    assert {cid: idx.tolist() for cid, idx in got.items()} == want
 
 
 # ----------------------------------------------------------------- c-TF-IDF
@@ -218,7 +264,7 @@ def _sqlite_select(points, predicate):
     return {r[0] for r in rows}
 
 
-def test_sql_matches_assignment_via_sqlite():
+def _three_blob_case():
     dm = three_blob()
     cmap, graph = cluster_density_map(dm)
     vp = dm.viewport
@@ -232,9 +278,23 @@ def test_sql_matches_assignment_via_sqlite():
     for j, r in enumerate(corner_rects):
         xs[j], ys[j] = r[0], r[1]          # lower-left corner: inside
         xs[10 + j], ys[10 + j] = r[2], r[3]  # upper-right corner: outside this rect
-    batch = PointBatch(xs, ys, np.ones(len(xs)))
-    assignment = assign_documents(batch, shapes, vp)
-    for shape in shapes:
-        sql_rows = _sqlite_select(zip(xs, ys),
-                                  emit_sql_predicate(shape, "x", "y"))
-        assert sql_rows == set(assignment[shape.cluster_id].tolist())
+    return shapes, vp, xs, ys
+
+
+def _outside_viewport_case():
+    # rects beyond the document's viewport, as a hand-edited document may hold
+    vp = Viewport(0, 10, 0, 10, 10, 10)
+    shapes = [_shape(0, [(1, 1, 3, 3), (11, 2, 15, 4)]), _shape(1, [(30, 30, 31, 31)])]
+    xs = np.array([2.0, 12.0, 30.5, 15.0, 31.0, 5.0])
+    ys = np.array([2.0, 3.0, 30.5, 3.0, 30.5, 5.0])
+    return shapes, vp, xs, ys
+
+
+def test_sql_matches_assignment_via_sqlite():
+    for shapes, vp, xs, ys in (_three_blob_case(), _outside_viewport_case()):
+        batch = PointBatch(xs, ys, np.ones(len(xs)))
+        assignment = assign_documents(batch, shapes, vp)
+        for shape in shapes:
+            sql_rows = _sqlite_select(zip(xs, ys),
+                                      emit_sql_predicate(shape, "x", "y"))
+            assert sql_rows == set(assignment[shape.cluster_id].tolist())
