@@ -281,6 +281,10 @@ def cmd_bench(args) -> int:
         raise ParameterError("--sizes must name at least one grid size")
     if args.repeats < 1:
         raise ParameterError("--repeats must be >= 1")
+    if args.points < 0:
+        raise ParameterError("--points must be >= 0")
+    if args.seed < 0:
+        raise ParameterError("--seed must be >= 0")
     rows = bench_run(sizes, args.repeats, args.seed, args.points)
     header = f"{'size':>6} {'gauss':>6} {'points':>9} {'kde_ms':>9} {'cluster_ms':>11} {'clusters':>9}"
     print(header)

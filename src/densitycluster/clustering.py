@@ -185,10 +185,9 @@ class ClusterMap:
         height = np.zeros_like(row)
         height[order[first]] = np.diff(np.append(first, val.size))
         head = np.flatnonzero(height)
-        val, x0, y0, x1 = val[head], x0[head], row[head], x1[head]
-        y1 = y0 + height[head]
-        bounds = np.stack((x0, y0, x1, y1))
-        return RectTable(val, x0, y0, x1, y1, _spans(val),
+        y0 = row[head]
+        bounds = np.stack((x0[head], y0, x1[head], y0 + height[head]))
+        return RectTable(_spans(val[head]),
                          list(zip(*bounds.tolist())),
                          list(zip(*bounds.astype(float).tolist())))
 
@@ -215,19 +214,13 @@ class ClusterMap:
         # at a pinch corner the two leaving segments are in direction order
         nxt = succ + (pinch & (direction[succ] != (direction + turn) % 4))
         index = np.arange(val.size)
-        # pointer doubling: after k rounds first[i] is the smallest index
-        # among the 2**k segments from i on; it stops changing once that
-        # window covers the whole ring
-        first, jump = index, nxt
-        while True:
-            lower = np.minimum(first, first[jump])
-            if np.array_equal(lower, first):
-                break
-            first, jump = lower, jump[jump]
+        # the rings are the components of the successor graph, each labelled
+        # by its smallest segment index
+        first = _components(val.size, index, nxt)
         is_first = first == index
         ring = (np.cumsum(is_first) - 1)[first]
         # list ranking: cut each ring before its first segment and count
-        # every segment's steps to the cut, doubling again
+        # every segment's steps to the cut by pointer doubling
         last = is_first[nxt]
         jump = np.where(last, index, nxt)
         togo = (~last).astype(np.int64)
@@ -253,17 +246,12 @@ class ClusterMap:
 class RectTable(NamedTuple):
     """Rectangle covers of every cluster of a map (ClusterMap.rects).
 
-    Rect i is the half-open pixel box [x0, x1) x [y0, y1) of cluster val[i];
-    rects are sorted by (val, y0, x0). rows and float_rows hold the same
-    (x0, y0, x1, y1) as int and float tuples, and span maps each cluster id
-    to its (start, stop) range of rects.
+    rows[i] is the half-open pixel box [x0, x1) x [y0, y1) of one cluster's
+    rect as (x0, y0, x1, y1), and float_rows[i] the same as floats; rects
+    are sorted by (cluster id, y0, x0), and span maps each cluster id to its
+    (start, stop) range of rects.
     """
 
-    val: np.ndarray
-    x0: np.ndarray
-    y0: np.ndarray
-    x1: np.ndarray
-    y1: np.ndarray
     span: dict[int, tuple[int, int]]
     rows: list[tuple[int, int, int, int]]
     float_rows: list[tuple[float, float, float, float]]
@@ -319,6 +307,50 @@ def run_pixels(row: np.ndarray, x0: np.ndarray, x1: np.ndarray,
     skip = np.cumsum(lengths) - lengths
     return (np.repeat(row * width + x0 - skip, lengths)
             + np.arange(int(lengths.sum()), dtype=np.int64))
+
+
+def _group_min(group: np.ndarray, n: int, key: np.ndarray,
+               tie: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per group g < n: the smallest key among entries with group == g, and
+    the smallest tie among that group's entries at that key (for an empty
+    group, +inf and the largest int64)."""
+    best = np.full(n, np.inf)
+    np.minimum.at(best, group, key)
+    at = key == best[group]
+    pick = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(pick, group[at], tie[at])
+    return best, pick
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """The root of every node of a forest whose roots are their own parent,
+    by pointer jumping: each round halves every remaining path."""
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent
+        parent = grand
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected components of nodes 0..n-1 under the edges (a[i], b[i]).
+
+    Each node's label is the smallest node of its component. Every round
+    hooks each root to the smallest root across its edges, then shortcuts
+    every node to its root (Shiloach & Vishkin, J. Algorithms 1982); a root
+    only ever hooks to a smaller one, so the pointers stay a forest. The
+    edges are carried as edges between roots, and those inside one
+    component are dropped.
+    """
+    label = np.arange(n)
+    while True:
+        cross = a != b
+        if not cross.any():
+            return label
+        a, b = a[cross], b[cross]
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        label = _roots(label)
+        a, b = label[a], label[b]
 
 
 @dataclass
@@ -416,26 +448,22 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     promote = two_cycle & (self_idx < par)
     par[promote] = self_idx[promote]
 
-    # pointer doubling: k rounds reach the 2^k-th ancestor, and no uphill
-    # chain is longer than n, so ceil(log2(n)) rounds always hit the roots;
-    # the fixed count keeps the cost independent of the map's content
-    for _ in range(max(1, int(np.ceil(np.log2(max(n, 2)))))):
-        par = par[par]
+    # The links now form a forest: a longer cycle would have equal densities
+    # throughout, where two steps always lead to a smaller index because
+    # each pixel picks its smallest densest neighbor. Pointer jumping takes
+    # log2 of the longest uphill chain rounds, plus one.
+    par = _roots(par)
 
     fg = np.flatnonzero(flat_d > 0)
     roots = par[fg]
+    mark = np.zeros(n, dtype=bool)
+    mark[roots] = True
+    uniq = np.flatnonzero(mark)
+    lut = np.full(n, -1, dtype=np.int32)
+    lut[uniq] = np.arange(uniq.size, dtype=np.int32)
     ids = np.full(n, -1, dtype=np.int32)
-    if fg.size:
-        mark = np.zeros(n, dtype=bool)
-        mark[roots] = True
-        uniq = np.flatnonzero(mark)
-        lut = np.full(n, -1, dtype=np.int32)
-        lut[uniq] = np.arange(uniq.size, dtype=np.int32)
-        ids[fg] = lut[roots]
-        peak_hint = uniq
-    else:
-        peak_hint = np.empty(0, dtype=np.int64)
-    return ClusterMap(ids.reshape(h, w), peak_hint=peak_hint)
+    ids[fg] = lut[roots]
+    return ClusterMap(ids.reshape(h, w), peak_hint=uniq)
 
 
 def _peaks_and_areas(d: np.ndarray, cmap: ClusterMap) -> tuple[np.ndarray, np.ndarray, int]:
@@ -449,24 +477,9 @@ def _peaks_and_areas(d: np.ndarray, cmap: ClusterMap) -> tuple[np.ndarray, np.nd
     if hint is not None and hint.shape[0] == n_ids:
         return hint.astype(np.int64), areas, n_ids
 
-    flat_d = d.ravel()
-    ids_fg = flat_ids[fg_idx]
-    order = np.argsort(ids_fg, kind="stable")
-    sorted_ids = ids_fg[order]
-    starts = np.searchsorted(sorted_ids, np.arange(n_ids))
-    peak_lin = np.full(n_ids, -1, dtype=np.int64)
-    live = areas > 0
-    maxd = np.full(n_ids, -np.inf)
-    if fg_idx.size:
-        seg_max = np.maximum.reduceat(flat_d[fg_idx[order]], np.minimum(starts, len(order) - 1))
-        maxd[live] = seg_max[live]
-        # smallest linear index among the per-cluster maxima
-        cand = flat_d[fg_idx] == maxd[ids_fg]
-        cand_lin = fg_idx[cand]
-        cand_ids = ids_fg[cand]
-        sentinel = np.full(n_ids, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(sentinel, cand_ids, cand_lin)
-        peak_lin[live] = sentinel[live]
+    # the densest pixel, smallest linear index on ties
+    _, peak_lin = _group_min(flat_ids[fg_idx], n_ids, -d.ravel()[fg_idx], fg_idx)
+    peak_lin[areas == 0] = -1
     return peak_lin, areas, n_ids
 
 
@@ -518,10 +531,7 @@ def _boundary_edges(d: np.ndarray, ids2: np.ndarray, peak_lin: np.ndarray,
         ppx = peak_lin[cids] % w
         ppy = peak_lin[cids] // w
         dist = np.hypot(pix % w - ppx, pix // w - ppy)
-        order = np.lexsort((pix, dist, inv))
-        _, first = np.unique(inv[order], return_index=True)
-        sel = order[first]
-        return dist[sel], pix[sel]
+        return _group_min(inv, uk.shape[0], dist, pix)
 
     lo_dist, lo_pix = _nearest(lo, pix_lo)
     hi_dist, hi_pix = _nearest(hi, pix_hi)
@@ -592,14 +602,12 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     heap = [(min(d), a, b, r) for r, (d, a, b) in enumerate(zip(dist, ea, eb))]
     heapq.heapify(heap)
 
-    parent = {cid: cid for cid in nodes_w}
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
+    # each id's parent in the merge forest, whose roots are the survivors
+    flat = cmap.ids.ravel()
+    fg = np.flatnonzero(flat >= 0)
+    n_ids = cmap.peak_hint.shape[0] if cmap.peak_hint is not None else (
+        int(flat[fg].max()) + 1 if fg.size else 0)
+    lut = np.arange(max(n_ids, 1), dtype=np.int32)
     while heap and heap[0][0] <= params.merge_distance_px:
         score, a, b, r = heapq.heappop(heap)
         if not alive[r] or score != min(dist[r]):
@@ -611,7 +619,7 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
             surv, gone = a, b
         else:
             surv, gone = b, a
-        parent[gone] = surv
+        lut[gone] = surv
         nodes_w[surv][2] += nodes_w[gone][2]
         del nodes_w[gone]
         del adj[surv][gone]
@@ -650,18 +658,9 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
                     dist[new][side], pix[new][side] = cand
             heapq.heappush(heap, (min(dist[new]), ea[new], eb[new], new))
 
-    # resolve the cluster map through the union-find
-    ids = cmap.ids
-    flat = ids.ravel()
-    fg = np.flatnonzero(flat >= 0)
-    n_ids = cmap.peak_hint.shape[0] if cmap.peak_hint is not None else (
-        int(flat[fg].max()) + 1 if fg.size else 0)
-    lut = np.arange(max(n_ids, 1), dtype=np.int32)
-    for cid in parent:
-        lut[cid] = find(cid)
+    lut = _roots(lut)
     new_flat = flat.copy()
-    if fg.size:
-        new_flat[fg] = lut[flat[fg]]
+    new_flat[fg] = lut[flat[fg]]
 
     hint = np.full(max(n_ids, 1), -1, dtype=np.int64)
     out_nodes: dict[int, ClusterNode] = {}
@@ -678,7 +677,7 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
         np.array(maxd, dtype=np.float64)[rows],
         np.array(dist, dtype=np.float64).reshape(-1, 2)[rows],
         np.array(pix, dtype=np.int64).reshape(-1, 2)[rows])
-    new_cmap = ClusterMap(new_flat.reshape(ids.shape), peak_hint=hint)
+    new_cmap = ClusterMap(new_flat.reshape(cmap.ids.shape), peak_hint=hint)
     return ClusterGraph(out_nodes, out_edges), new_cmap
 
 
@@ -711,9 +710,8 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
     flat = ids2.ravel()
     fg = np.flatnonzero(flat >= 0)
     new_flat = np.full(flat.shape, -1, dtype=np.int32)
-    if fg.size:
-        keep = d.ravel()[fg] >= thr[flat[fg]]
-        new_flat[fg[keep]] = flat[fg[keep]]
+    keep = d.ravel()[fg] >= thr[flat[fg]]
+    new_flat[fg[keep]] = flat[fg[keep]]
     val, row, x0, x1 = _runs(new_flat.reshape(h, w))
 
     # Same-cluster runs that touch in consecutive rows. Composite keys
@@ -732,20 +730,7 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
     above = (np.repeat(first - (np.cumsum(n_cand) - n_cand), n_cand)
              + np.arange(below.shape[0]))
 
-    parent = list(range(val.shape[0]))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(above.tolist(), below.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    root = np.fromiter((find(i) for i in range(val.shape[0])), dtype=np.int64,
-                       count=val.shape[0])
+    root = _components(val.shape[0], above, below)
 
     # the run holding each surviving peak
     live = np.flatnonzero(peak_lin >= 0)

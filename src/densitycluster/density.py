@@ -96,6 +96,13 @@ class Viewport:
                    int(d["width"]), int(d["height"]))
 
 
+def _check_addressable(count: int, what: str) -> None:
+    """Raise MemoryError for an array of more elements than numpy can index,
+    before any arithmetic on the size overflows."""
+    if count > np.iinfo(np.intp).max:
+        raise MemoryError(f"{what} exceeds the address space")
+
+
 def check_density_values(values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise DataError("density values must be finite")
@@ -163,6 +170,7 @@ def bin_points(points: PointBatch, viewport: Viewport) -> DensityMap:
     a counted warning. The grid total equals the total in-viewport weight.
     """
     w, h = viewport.width, viewport.height
+    _check_addressable(w * h, f"a {w}x{h} grid")
     if len(points) == 0:
         return DensityMap(viewport, np.zeros((h, w)))
     if (points.weights < 0).any():
@@ -192,6 +200,7 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     if sigma <= 0:
         raise ParameterError("gaussian_kernel requires sigma > 0")
     radius = int(math.ceil(KERNEL_TRUNCATE_SIGMAS * sigma))
+    _check_addressable(2 * radius + 1, f"a Gaussian kernel of sigma {sigma:g}")
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(t * t) / (2.0 * sigma * sigma))
     return k / k.sum()

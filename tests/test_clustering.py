@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densitycluster.clustering import (NEIGHBOR_OFFSETS, ClusterMap,
-                                       ClusterParams,
+                                       ClusterParams, _components,
                                        build_neighborhood_graph,
                                        cluster_density_map, initial_clusters,
                                        truncate_clusters, union_clusters)
@@ -92,6 +93,61 @@ def test_initial_matches_oracle_property(seed, conn):
     dm = DensityMap(Viewport(0, w, 0, h, w, h), vals)
     assert np.array_equal(initial_clusters(dm, conn).ids,
                           steepest_ascent_oracle(dm, conn).ids)
+
+
+@pytest.mark.parametrize("conn", [4, 8])
+@pytest.mark.parametrize("shape", [(1, 4096), (4096, 1)])
+@pytest.mark.parametrize("uphill", [1, -1])
+def test_initial_monotone_ramp_is_one_chain(conn, shape, uphill):
+    # every pixel's uphill chain runs to the far end of the map
+    vals = np.arange(1.0, 4097.0)[::uphill].reshape(shape)
+    dm = _dm(vals)
+    fast = initial_clusters(dm, conn)
+    assert np.array_equal(fast.ids, steepest_ascent_oracle(dm, conn).ids)
+    assert (fast.ids == 0).all()
+    assert fast.peak_hint.tolist() == [4095 if uphill == 1 else 0]
+
+
+# ---------------------------------------------------------------- components
+
+def _bfs_components(n, pairs):
+    adj = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [-1] * n
+    for start in range(n):  # the first node reached is its component's smallest
+        if label[start] >= 0:
+            continue
+        label[start] = start
+        queue = deque([start])
+        while queue:
+            for v in adj[queue.popleft()]:
+                if label[v] < 0:
+                    label[v] = start
+                    queue.append(v)
+    return label
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_components_match_bfs(data):
+    n = data.draw(st.integers(0, 80), label="n")
+    pairs = []
+    if n:
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=2 * n),
+                          label="edges")  # self-loops included
+        if data.draw(st.booleans(), label="path"):
+            # a long path whose labels are in shuffled order
+            order = data.draw(st.permutations(range(n)), label="order")
+            pairs += list(zip(order, order[1:]))
+        if data.draw(st.booleans(), label="duplicates"):
+            pairs += [(b, a) for a, b in pairs[::2]] + pairs[1::3]
+        pairs = data.draw(st.permutations(pairs), label="edge order")
+    a = np.array([p[0] for p in pairs], dtype=np.int64)
+    b = np.array([p[1] for p in pairs], dtype=np.int64)
+    assert _components(n, a, b).tolist() == _bfs_components(n, pairs)
 
 
 # ---------------------------------------------------------------- graph
@@ -328,6 +384,79 @@ def test_truncate_min_peak_density_removes_cluster():
     assert len(g3.nodes) == 1
     assert next(iter(g3.nodes.values())).peak_density > 0.95
     assert set(np.unique(cm3.ids[cm3.ids >= 0])) == set(g3.nodes)
+
+
+def _spiral_path(turns):
+    # a 4-connected square spiral from the outside in, its arms one
+    # background pixel apart; steps 2, 2, 4, 4, ... from the center outward
+    x = y = 0
+    path = [(x, y)]
+    for i in range(2 * turns):
+        dx, dy = ((1, 0), (0, 1), (-1, 0), (0, -1))[i % 4]
+        for _ in range(2 * (i // 2 + 1)):
+            x, y = x + dx, y + dy
+            path.append((x, y))
+    return path[::-1]
+
+
+def _serpentine_path(rows, width):
+    # full-width rows two apart, linked at alternating ends
+    path = []
+    for r in range(rows):
+        xs = range(width) if r % 2 == 0 else range(width - 1, -1, -1)
+        path += [(x, 2 * r) for x in xs]
+        if r < rows - 1:
+            path.append((width - 1 if r % 2 == 0 else 0, 2 * r + 1))
+    return path
+
+
+@pytest.mark.parametrize("conn", [4, 8])
+@pytest.mark.parametrize("path", [_spiral_path(9), _serpentine_path(13, 30)],
+                         ids=["spiral", "serpentine"])
+def test_truncate_long_winding_cluster(conn, path):
+    # one cluster: a winding path of dense pixels starting at the peak, cut
+    # at its middle by one weak pixel, over a weak background; the peak's
+    # side of the path is all that survives truncation
+    margin = 3
+    xs, ys = zip(*path)
+    x_min, y_min = min(xs), min(ys)
+    path = [(x - x_min + margin, y - y_min + margin) for x, y in path]
+    h, w = max(ys) - y_min + 1 + 2 * margin, max(xs) - x_min + 1 + 2 * margin
+    vals = np.full((h, w), 0.05)
+    for x, y in path:
+        vals[y, x] = 1.0
+    vals[path[0][1], path[0][0]] = 2.0
+    # cut within a straight stretch, where no diagonal bridges the gap
+    cut = next(i for i in range(len(path) // 2, len(path) - 1)
+               if path[i - 1][0] == path[i + 1][0] or path[i - 1][1] == path[i + 1][1])
+    vals[path[cut][1], path[cut][0]] = 0.05
+    kept = set(path[:cut])
+    on_path = set(path)
+
+    def near(p, offsets):
+        return {(p[0] + dx, p[1] + dy) for dx, dy in offsets}
+
+    # dense pixels off the path: one touching a kept pixel only diagonally
+    # (kept under 8-connectivity), one touching nothing (always dropped)
+    diag = next(q for p in path[:cut]
+                for q in sorted(near(p, NEIGHBOR_OFFSETS[8]) - on_path)
+                if not near(q, NEIGHBOR_OFFSETS[4]) & on_path
+                and not near(q, NEIGHBOR_OFFSETS[8]) & set(path[cut:]))
+    vals[diag[1], diag[0]] = 1.0
+    vals[0, 0] = 1.0
+    if conn == 8:
+        kept.add(diag)
+
+    dm = _dm(vals)
+    cmap = ClusterMap(np.zeros((h, w), dtype=np.int32))
+    params = ClusterParams(truncation_ratio=0.1, connectivity=conn)
+    graph = build_neighborhood_graph(dm, cmap, conn)
+    g3, cm3 = truncate_clusters(dm, cmap, graph, params)
+    ys3, xs3 = np.nonzero(cm3.ids == 0)
+    assert set(zip(xs3.tolist(), ys3.tolist())) == kept
+    assert flood_fill_components(cm3, 0, conn) == 1
+    assert g3.nodes[0].area_px == len(kept)
+    assert g3.nodes[0].peak_xy == path[0]
 
 
 # ---------------------------------------------------------------- pipeline

@@ -269,6 +269,8 @@ def test_cli_exit_codes(tmp_path):
                  str(DATA / "two_gaussians_clusters.json"),
                  "--cluster-id", "99999"]) == 3
     assert main(["bench", "--sizes", "32"]) == 1        # sizes must be >= 64
+    assert main(["bench", "--sizes", "64", "--points", "-5"]) == 1
+    assert main(["bench", "--sizes", "64", "--seed", "-1"]) == 1
 
 
 _DEEP = b"[" * 200_000
@@ -404,12 +406,17 @@ def test_cli_malformed_cluster_fields_are_data_errors(tmp_path, command, path,
 
 
 def test_cli_cluster_unallocatable_grid_is_data_error(tmp_path, capsys):
-    # a 10**8 x 10**8 density grid exceeds any address space, so the
-    # allocation fails at once
-    assert main(["cluster", "--input", str(FIXTURE_CSV), "--width", "100000000",
-                 "--height", "100000000", "--output", str(tmp_path / "c.json")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: out of memory") and "Traceback" not in err
+    # each grid or kernel exceeds any address space, so it fails before
+    # anything of its size is allocated: a 10**8 x 10**8 grid, grids whose
+    # pixel count overflows int64, and a kernel wider than int64 can count
+    for flags in (["--width", "100000000", "--height", "100000000"],
+                  ["--width", "4294967296", "--height", "4294967296"],
+                  ["--width", "99999999999999999999", "--height", "8"],
+                  ["--bandwidth", "1e300"]):
+        assert main(["cluster", "--input", str(FIXTURE_CSV), *flags,
+                     "--output", str(tmp_path / "c.json")]) == 3, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "Traceback" not in err
 
 
 def test_cli_label_huge_viewport_reads_rects_only(tmp_path):
