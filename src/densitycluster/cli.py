@@ -204,7 +204,7 @@ def cmd_cluster(args) -> int:
     if space == "data":
         shapes = [to_data_space(s, vp) for s in shapes]
     doc = cluster_document(vp, params, bandwidth, shapes, graph, colors, space)
-    write_json(cfg.output, doc.to_dict())
+    write_json(cfg.output, doc)
     if cfg.density_out:
         write_density_dump(cfg.density_out, dm)
     print(f"clusters={len(graph.nodes)} pixels={vp.width * vp.height} "
@@ -243,7 +243,7 @@ def cmd_label(args) -> int:
     batch = load_points(cfg.input, cfg.format, cfg.x_col, cfg.y_col,
                         cfg.weight_col, cfg.text_col)
     load_ms = (time.perf_counter() - t_load) * 1000
-    shapes = [doc.shape(c) for c in doc.clusters]
+    shapes = [doc.rect_shape(c) for c in doc.clusters]
     assignment = assign_documents(batch, shapes, doc.viewport)
     texts = batch.texts if batch.texts is not None else [None] * len(batch)
     labels = ctfidf_labels(assignment, texts, args.top_k)
@@ -254,7 +254,7 @@ def cmd_label(args) -> int:
         by_id = {row["id"]: row["label"] for row in label_rows}
         for c in doc.clusters:
             c.label = by_id.get(c.id, [])
-        write_json(cfg.output, doc.to_dict())
+        write_json(cfg.output, doc)
     else:
         write_json(cfg.output, label_rows)
     assigned = sum(len(v) for v in assignment.values())
@@ -267,7 +267,7 @@ def cmd_sql(args) -> int:
     doc = read_cluster_document(args.cluster_json)
     for c in doc.clusters:
         if c.id == args.cluster_id:
-            print(emit_sql_predicate(doc.shape(c), args.x_col, args.y_col))
+            print(emit_sql_predicate(doc.rect_shape(c), args.x_col, args.y_col))
             return 0
     raise ClusterNotFoundError(args.cluster_id)
 

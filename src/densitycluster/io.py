@@ -1,7 +1,12 @@
 """File formats: point ingestion, density dumps, cluster and label JSON.
 
 The cluster JSON is owned by ClusterDocument: `cluster_document` builds it,
-`read_cluster_document` validates a file into it, and `to_dict` writes it.
+`read_cluster_document` validates a file into it, and `to_json` writes it.
+
+Number text is each value's shortest round-trip repr. A document's geometry
+lies on pixel corners, so it holds few distinct coordinates: `_number_texts`
+formats each distinct value once, for the cluster JSON, the SVG paths and
+the SQL predicates alike.
 
 Density dump layout: little-endian, two uint32 (width, height), then
 width*height float32 values row-major.
@@ -9,13 +14,14 @@ width*height float32 values row-major.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import struct
 import warnings
 from dataclasses import dataclass
 from io import BytesIO, TextIOWrapper
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -25,6 +31,11 @@ from .geometry import ClusterShape, PolygonRing, to_data_space
 
 # loading aborts when more than this fraction of data rows is malformed
 MALFORMED_ROW_LIMIT = 0.01
+
+# the encoder json.dumps(obj, separators=(",", ":")) builds on every call
+_JSON = json.JSONEncoder(separators=(",", ":"))
+# stands for a geometry field while ClusterDocument.to_json encodes the rest
+_SLOT = "\x00"
 
 
 def load_points(path, fmt: str, x_col: str = "x", y_col: str = "y",
@@ -252,11 +263,78 @@ class ClusterDocument:
                 "params": self.params,
                 "clusters": [c.to_dict() for c in self.clusters]}
 
-    def shape(self, cluster: ClusterRecord) -> ClusterShape:
-        """The cluster's rings and rects as a data-space ClusterShape."""
-        shape = ClusterShape(cluster.id, PolygonRing(cluster.outer),
-                             [PolygonRing(h) for h in cluster.holes], cluster.rects)
+    def to_json(self) -> str:
+        """json.dumps(self.to_dict(), separators=(",", ":")), byte for byte.
+
+        The numbers of `outer`, `holes` and `rects` come from _number_texts.
+        The json encoder writes the rest once, with a slot string in place of
+        each of those fields, and the geometry text is put into the slots.
+        """
+        clusters = self.clusters
+        rings = [r for c in clusters for r in (c.outer, *c.holes)]
+        vertices = _item_texts(chain.from_iterable(rings), 2)
+        rects = _item_texts(chain.from_iterable(c.rects for c in clusters), 4)
+        geometry = []
+        v = r = 0
+        for c in clusters:
+            ring_texts = []
+            for ring in (c.outer, *c.holes):
+                ring_texts.append(_nested_list(vertices[v:v + len(ring)]))
+                v += len(ring)
+            geometry += (ring_texts[0], f'[{",".join(ring_texts[1:])}]',
+                         _nested_list(rects[r:r + len(c.rects)]))
+            r += len(c.rects)
+
+        doc = self.to_dict()
+        for c in doc["clusters"]:
+            c.update(outer=_SLOT, holes=_SLOT, rects=_SLOT)
+        pieces = _JSON.encode(doc).split(_JSON.encode(_SLOT))
+        if len(pieces) != len(geometry) + 1:  # a string of the document looks like a slot
+            return _JSON.encode(self.to_dict())
+        return "".join(chain.from_iterable(zip(pieces, geometry))) + pieces[-1]
+
+    def rect_shape(self, cluster: ClusterRecord) -> ClusterShape:
+        """The cluster's rects as a data-space ClusterShape without rings:
+        all that `label` and `sql` read."""
+        shape = ClusterShape(cluster.id, PolygonRing(()), [], cluster.rects)
         return to_data_space(shape, self.viewport) if self.space == "pixel" else shape
+
+
+def format_number(v: float) -> str:
+    """Shortest decimal that round-trips to the same float; integral values
+    drop the trailing '.0'."""
+    s = repr(float(v))
+    if s.endswith(".0"):
+        s = s[:-2]
+    return s
+
+
+def _number_texts(values, trim: bool = False) -> list[str]:
+    """The text of every value of a float64 column, in order: json's, or
+    with `trim` format_number's. Each distinct value is formatted once, keyed
+    by its bit pattern, so that 0.0 and -0.0 stay apart."""
+    bits, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+        return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    texts = (list(map(format_number, distinct)) if trim
+             else _JSON.encode(distinct)[1:-1].split(","))
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _item_texts(items, arity: int) -> list[str]:
+    """json's text of each item of `arity` numbers, without its brackets."""
+    numbers = list(chain.from_iterable(items))
+    if set(map(type, numbers)) <= {float}:  # what `cluster` writes
+        texts = _number_texts(numbers)
+    else:  # a hand-edited document's ints stay ints
+        texts = _JSON.encode(numbers)[1:-1].split(",")
+    return list(map(",".join, zip(*[iter(texts)] * arity)))
+
+
+def _nested_list(items: list[str]) -> str:
+    """The JSON list of items given by _item_texts."""
+    return "[[" + "],[".join(items) + "]]" if items else "[]"
 
 
 def cluster_document(viewport: Viewport, params, bandwidth_px: float, shapes,
@@ -283,8 +361,9 @@ def cluster_document(viewport: Viewport, params, bandwidth_px: float, shapes,
 
 
 def write_json(path, doc) -> None:
-    # dumps, not dump: json.dump always takes the pure-Python encoder
-    text = json.dumps(doc, separators=(",", ":"))
+    """Write a ClusterDocument, or any JSON data, as compact JSON and a newline."""
+    # encode, not dump: json.dump always takes the pure-Python encoder
+    text = doc.to_json() if isinstance(doc, ClusterDocument) else _JSON.encode(doc)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -298,13 +377,34 @@ def _expect(doc, key, path, kind=None):
     return val
 
 
-def _check_numbers(items, arity, what) -> None:
-    """Every item is a sequence of `arity` finite numbers."""
+def _typed_records(raw: list) -> list[ClusterRecord] | None:
+    """The records of cluster objects whose every field is present and of
+    its type, checked a column at a time; None if any is not."""
     try:
-        # sum() rejects any non-number and is finite only if every term is
-        # (an overflowing total rejects absurd magnitudes as well)
+        clusters = [ClusterRecord(c["id"], c["peak"], c["area_px"], c["outer"],
+                                  c["holes"], c["rects"], c["color"], c.get("label"))
+                    for c in raw]
+    except (KeyError, TypeError):  # not an object, or a field missing
+        return None
+    # json.loads makes exact types, so type(), unlike isinstance, rejects bool
+    for field, kind in (("id", int), ("peak", dict), ("outer", list),
+                        ("holes", list), ("rects", list), ("color", int)):
+        if not set(map(type, map(attrgetter(field), clusters))) <= {kind}:
+            return None
+    return clusters
+
+
+def _check_numbers(items, arity, what, bools: bool) -> None:
+    """Every item is a sequence of `arity` numbers that are finite floats;
+    `bools` says whether the document text may hold a boolean."""
+    try:
+        # a float start keeps every addition in floats, so an int too large
+        # for a float raises even where such ints would cancel; the total is
+        # finite only if every term is (an overflowing total rejects absurd
+        # magnitudes as well); any other non-number raises TypeError
         ok = (set(map(len, items)) <= {arity}
-              and math.isfinite(sum(itertools.chain.from_iterable(items))))
+              and math.isfinite(sum(chain.from_iterable(items), 0.0))
+              and not (bools and bool in set(map(type, chain.from_iterable(items)))))
     except (TypeError, OverflowError):
         ok = False
     if not ok:
@@ -314,8 +414,10 @@ def _check_numbers(items, arity, what) -> None:
 def read_cluster_document(path) -> ClusterDocument:
     """Load a cluster JSON document and validate it into a ClusterDocument."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        # decoded in one call: JSON needs no newline translation
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        doc = json.loads(text)
     # ValueError: not JSON, not UTF-8, or an integer too long to convert
     except (ValueError, RecursionError) as exc:
         raise DataError(f"cluster JSON: not valid JSON ({exc})") from exc
@@ -330,21 +432,29 @@ def read_cluster_document(path) -> ClusterDocument:
     if space not in ("data", "pixel"):
         raise DataError("cluster JSON: space must be \"data\" or \"pixel\"")
     params = _expect(doc, "params", "", dict)
-    clusters = []
-    for i, c in enumerate(_expect(doc, "clusters", "", list)):
-        p = f"clusters[{i}]."
-        clusters.append(ClusterRecord(
-            _expect(c, "id", p, int), _expect(c, "peak", p, dict),
-            _expect(c, "area_px", p), _expect(c, "outer", p, list),
-            _expect(c, "holes", p, list), _expect(c, "rects", p, list),
-            _expect(c, "color", p, int), c.get("label")))
+    raw = _expect(doc, "clusters", "", list)
+    clusters = _typed_records(raw)
+    if clusters is None:  # name the first missing or mistyped field
+        clusters = []
+        for i, c in enumerate(raw):
+            p = f"clusters[{i}]."
+            clusters.append(ClusterRecord(
+                _expect(c, "id", p, int), _expect(c, "peak", p, dict),
+                _expect(c, "area_px", p), _expect(c, "outer", p, list),
+                _expect(c, "holes", p, list), _expect(c, "rects", p, list),
+                _expect(c, "color", p, int), c.get("label")))
     if len({c.id for c in clusters}) != len(clusters):
         raise DataError("cluster JSON: cluster ids must be unique")
     if any(c.color < 0 for c in clusters):
         raise DataError("cluster JSON: every color must be >= 0")
-    rings = [r for c in clusters for r in (c.outer, *c.holes)]
-    if not all(type(r) is list for r in rings):
+    rings = [c.outer for c in clusters]
+    rings += chain.from_iterable(c.holes for c in clusters)
+    if not set(map(type, rings)) <= {list}:
         raise DataError("cluster JSON: every ring must be a list of vertices")
-    _check_numbers([v for r in rings for v in r], 2, "vertex")
-    _check_numbers([r for c in clusters for r in c.rects], 4, "rect")
+    # JSON spells a boolean `true` or `false`, so only a text holding one of
+    # them needs a type pass over every number ("f" is one memchr: no key or
+    # number that `cluster` writes holds an f)
+    bools = "true" in text or ("f" in text and "false" in text)
+    _check_numbers(list(chain.from_iterable(rings)), 2, "vertex", bools)
+    _check_numbers(list(chain.from_iterable(c.rects for c in clusters)), 4, "rect", bools)
     return ClusterDocument(space, viewport, params, clusters)

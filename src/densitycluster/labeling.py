@@ -18,6 +18,7 @@ import numpy as np
 from .density import PointBatch, Viewport
 from .errors import ParameterError
 from .geometry import ClusterShape
+from .io import _number_texts
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -171,15 +172,6 @@ def ctfidf_labels(assignment: dict[int, np.ndarray], documents,
     return results
 
 
-def format_number(v: float) -> str:
-    """Shortest decimal that round-trips to the same float; integral values
-    drop the trailing '.0'."""
-    s = repr(float(v))
-    if s.endswith(".0"):
-        s = s[:-2]
-    return s
-
-
 def emit_sql_predicate(shape: ClusterShape, x_column: str, y_column: str) -> str:
     """WHERE-clause text selecting exactly the rows inside the rect cover.
 
@@ -193,10 +185,8 @@ def emit_sql_predicate(shape: ClusterShape, x_column: str, y_column: str) -> str
     if not shape.rects:
         raise ParameterError(
             f"cluster {shape.cluster_id} has no rectangles to emit")
-    parts = []
-    for x0, y0, x1, y1 in shape.rects:
-        parts.append(
-            f"({x_column} >= {format_number(x0)} AND {x_column} < {format_number(x1)}"
-            f" AND {y_column} >= {format_number(y0)} AND {y_column} < {format_number(y1)})"
-        )
-    return " OR ".join(parts)
+    texts = _number_texts(np.array(shape.rects, dtype=np.float64).ravel(), trim=True)
+    return " OR ".join(
+        f"({x_column} >= {x0} AND {x_column} < {x1}"
+        f" AND {y_column} >= {y0} AND {y_column} < {y1})"
+        for x0, y0, x1, y1 in zip(*[iter(texts)] * 4))

@@ -9,12 +9,12 @@ from __future__ import annotations
 import base64
 import struct
 import zlib
+from itertools import chain
 
 import numpy as np
 
 from .density import Viewport
-from .io import ClusterDocument
-from .labeling import format_number as _fmt
+from .io import ClusterDocument, _number_texts, format_number as _fmt
 
 PALETTE10 = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
@@ -78,13 +78,24 @@ def render_svg(doc: ClusterDocument, underlay: np.ndarray | None = None) -> byte
     if underlay is not None:
         lines.append(_underlay_element(underlay, vp))
 
+    clusters = sorted(doc.clusters, key=lambda c: c.id)
+    rings = [r for c in clusters for r in (c.outer, *c.holes)]
+    xy = np.array(list(chain.from_iterable(chain.from_iterable(rings))),
+                  dtype=np.float64).reshape(-1, 2)
+    with np.errstate(over="ignore"):  # inf, as the same float arithmetic gives
+        if doc.space == "pixel":  # as to_data_space maps each vertex
+            xy = np.array([x0, y0]) + xy * np.array([vp.sx, vp.sy])
+        xy[:, 1] = flip - xy[:, 1]
+    texts = _number_texts(xy.ravel(), trim=True)
+    vertices = list(map(",".join, zip(texts[0::2], texts[1::2])))
+
     stroke_w = 0.002 * max(span_x, span_y)
-    for cluster in sorted(doc.clusters, key=lambda c: c.id):
-        shape = doc.shape(cluster)
+    v = 0
+    for cluster in clusters:
         d_parts = []
-        for ring in [shape.outer, *shape.holes]:
-            pts = [f"{_fmt(x)},{_fmt(flip - y)}" for x, y in ring.vertices]
-            d_parts.append("M" + "L".join(pts) + "Z")
+        for ring in (cluster.outer, *cluster.holes):
+            d_parts.append("M" + "L".join(vertices[v:v + len(ring)]) + "Z")
+            v += len(ring)
         color = PALETTE10[cluster.color % len(PALETTE10)]
         lines.append(
             f'<path d="{"".join(d_parts)}" fill="{color}" fill-opacity="0.55" '

@@ -405,6 +405,27 @@ def test_cli_malformed_cluster_fields_are_data_errors(tmp_path, command, path,
     assert main(_doc_argv(command, tmp_path) + ["--cluster-json", str(bad)]) == 3
 
 
+@pytest.mark.parametrize("path, value, what", [
+    (("clusters", 0, "outer", 0), [False, 44.5], "vertex"),
+    (("clusters", 0, "rects", 0, 0), False, "rect"),
+    (("clusters", 0, "outer", 0), [10**400, -10**400], "vertex"),
+    (("clusters", 0, "rects", 0), [10**400, -10**400, 90.0, 45.0], "rect"),
+], ids=["bool_vertex", "bool_rect", "cancelling_huge_ints_vertex",
+        "cancelling_huge_ints_rect"])
+@pytest.mark.parametrize("command", ["render", "sql", "label"])
+def test_cli_coordinates_that_are_no_finite_floats_are_data_errors(
+        tmp_path, capsys, command, path, value, what):
+    # booleans pass a sum, and so do huge ints that cancel in it; neither
+    # converts to a finite float coordinate
+    doc = json.loads(json.dumps(_FIXTURE_DOC))
+    _mutate(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_doc_argv(command, tmp_path) + ["--cluster-json", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert f"every {what} must be" in err and "Traceback" not in err
+
+
 def test_cli_cluster_unallocatable_grid_is_data_error(tmp_path, capsys):
     # each grid or kernel exceeds any address space, so it fails before
     # anything of its size is allocated: a 10**8 x 10**8 grid, grids whose
@@ -665,6 +686,26 @@ def test_cli_label_and_merge(tmp_path):
     assert rc == 0
     doc = json.load(open(merged))
     assert all("label" in c for c in doc["clusters"])
+
+
+def test_cli_label_pixel_space_matches_data_space(tmp_path):
+    # label reads a pixel-space document's rects through the viewport, as
+    # `cluster` maps them for a data-space one
+    labels, docs = [], []
+    for flags in ([], ["--pixel-space"]):
+        doc = tmp_path / f"c{len(flags)}.json"
+        out = tmp_path / f"l{len(flags)}.json"
+        assert main(["cluster", "--input", str(FIXTURE_CSV), "--width", "128",
+                     "--height", "128", "--output", str(doc)] + flags) == 0
+        assert main(["label", "--input", str(FIXTURE_CSV), "--text-col", "text",
+                     "--cluster-json", str(doc), "--output", str(out)]) == 0
+        labels.append(out.read_bytes())
+        docs.append(read_cluster_document(doc))
+    assert labels[0] == labels[1]
+    for data, pixel in zip(*(d.clusters for d in docs)):
+        shape = docs[1].rect_shape(pixel)
+        assert shape.outer.vertices == () and shape.holes == []
+        assert shape.rects == [tuple(r) for r in data.rects]
 
 
 def test_cli_weight_col_changes_density(tmp_path):

@@ -10,9 +10,10 @@ from densitycluster.density import DensityMap, PointBatch, Viewport
 from densitycluster.errors import ParameterError
 from densitycluster.geometry import (ClusterShape, PolygonRing,
                                      shape_for_cluster, to_data_space)
+from densitycluster.io import format_number
 from densitycluster.labeling import (STOPWORDS, assign_documents,
                                      ctfidf_labels, emit_sql_predicate,
-                                     format_number, tokenize)
+                                     tokenize)
 
 from conftest import noisy_map, three_blob
 
