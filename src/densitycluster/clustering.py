@@ -405,6 +405,35 @@ class ClusterGraph:
         return adj
 
 
+def _nodes(ids: np.ndarray, peak_lin: np.ndarray, peak_density: np.ndarray,
+           area: np.ndarray, w: int) -> dict[int, ClusterNode]:
+    """{id: ClusterNode} from per-node columns, in the order of ids."""
+    y, x = np.divmod(peak_lin, w)
+    return {cid: ClusterNode(cid, (px, py), pd, a) for cid, px, py, pd, a in zip(
+        ids.tolist(), x.tolist(), y.tolist(), peak_density.tolist(), area.tolist())}
+
+
+def _node_columns(nodes: dict[int, ClusterNode], cmap: ClusterMap
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(is_node, peak_lin, peak_density, area) of the nodes, indexed by id
+    over every id of the nodes and of cmap's peak_hint, or of its ids when
+    it has no hint; ids that are no node hold False, -1, 0 and 0."""
+    ids = np.fromiter(nodes, np.int64, len(nodes))
+    hint = cmap.peak_hint
+    n = max(hint.shape[0] if hint is not None else int(cmap.ids.max(initial=-1)) + 1,
+            int(ids.max(initial=-1)) + 1, 1)
+    w = cmap.width
+    is_node = np.zeros(n, dtype=bool)
+    is_node[ids] = True
+    peak_lin = np.full(n, -1, dtype=np.int64)
+    peak_lin[ids] = [nd.peak_xy[0] + nd.peak_xy[1] * w for nd in nodes.values()]
+    peak_density = np.zeros(n)
+    peak_density[ids] = [nd.peak_density for nd in nodes.values()]
+    area = np.zeros(n, dtype=np.int64)
+    area[ids] = [nd.area_px for nd in nodes.values()]
+    return is_node, peak_lin, peak_density, area
+
+
 def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     """Group positive-density pixels by the local maximum they climb to.
 
@@ -421,19 +450,15 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     offsets = NEIGHBOR_OFFSETS[connectivity]
     deltas = np.array([dy * w + dx for dx, dy in offsets], dtype=np.int64)
 
-    # densest neighbor per pixel, first (= smallest linear index) on ties
+    # densest neighbor per pixel, first (= smallest linear index) on ties;
+    # beyond the border the padded density is -inf, which never wins
+    pad = np.pad(d, 1, constant_values=-np.inf)
     best_d = np.full((h, w), -np.inf)
     best_k = np.zeros((h, w), dtype=np.int8)
-    buf = np.empty((h, w))
     for k, (dx, dy) in enumerate(offsets):
-        buf.fill(-np.inf)
-        ys0, ys1 = max(dy, 0), h + min(dy, 0)
-        xs0, xs1 = max(dx, 0), w + min(dx, 0)
-        yd0, yd1 = max(-dy, 0), h + min(-dy, 0)
-        xd0, xd1 = max(-dx, 0), w + min(-dx, 0)
-        buf[yd0:yd1, xd0:xd1] = d[ys0:ys1, xs0:xs1]
-        better = buf > best_d
-        np.copyto(best_d, buf, where=better)
+        nb = pad[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+        better = nb > best_d
+        np.copyto(best_d, nb, where=better)
         np.copyto(best_k, np.int8(k), where=better)
 
     flat_d = d.ravel()
@@ -466,53 +491,27 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     return ClusterMap(ids.reshape(h, w), peak_hint=uniq)
 
 
-def _peaks_and_areas(d: np.ndarray, cmap: ClusterMap) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-id peak pixel (linear index, smallest among maxima) and area."""
-    flat_ids = cmap.ids.ravel()
-    fg_idx = np.flatnonzero(flat_ids >= 0)
-    n_ids = int(flat_ids[fg_idx].max()) + 1 if fg_idx.size else 0
-    areas = np.bincount(flat_ids[fg_idx], minlength=n_ids)
-
-    hint = cmap.peak_hint
-    if hint is not None and hint.shape[0] == n_ids:
-        return hint.astype(np.int64), areas, n_ids
-
-    # the densest pixel, smallest linear index on ties
-    _, peak_lin = _group_min(flat_ids[fg_idx], n_ids, -d.ravel()[fg_idx], fg_idx)
-    peak_lin[areas == 0] = -1
-    return peak_lin, areas, n_ids
-
-
 def _boundary_edges(d: np.ndarray, ids2: np.ndarray, peak_lin: np.ndarray,
                     connectivity: int) -> ClusterEdges:
     """Scan every unordered neighbor-pixel pair spanning two clusters."""
     h, w = ids2.shape
     flat_d = d.ravel()
     n_ids = peak_lin.shape[0]
+    # beyond the border the padded ids are -1, which matches no cluster
+    pad = np.pad(ids2, 1, constant_values=-1)
 
-    ai_l, bi_l, la_l, lb_l = [], [], [], []
+    la_l, lb_l = [], []
     for dx, dy in _FORWARD_OFFSETS[connectivity]:
-        px0, px1 = max(0, -dx), w - max(0, dx)
-        py0, py1 = max(0, -dy), h - max(0, dy)
-        a_sl = ids2[py0:py1, px0:px1]
-        b_sl = ids2[py0 + dy:py1 + dy, px0 + dx:px1 + dx]
-        m = (a_sl != b_sl) & (a_sl >= 0) & (b_sl >= 0)
-        if not m.any():
-            continue
-        yy, xx = np.nonzero(m)
-        lin_a = (yy + py0) * w + (xx + px0)
-        lin_b = lin_a + dy * w + dx
-        ai_l.append(a_sl[m])
-        bi_l.append(b_sl[m])
+        nb = pad[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+        lin_a = np.flatnonzero((ids2 != nb) & (ids2 >= 0) & (nb >= 0))
         la_l.append(lin_a)
-        lb_l.append(lin_b)
-    if not ai_l:
-        return ClusterEdges.empty()
-
-    ai = np.concatenate(ai_l).astype(np.int64)
-    bi = np.concatenate(bi_l).astype(np.int64)
+        lb_l.append(lin_a + (dy * w + dx))
     lin_a = np.concatenate(la_l)
+    if lin_a.size == 0:
+        return ClusterEdges.empty()
     lin_b = np.concatenate(lb_l)
+    ai = ids2.ravel()[lin_a].astype(np.int64)
+    bi = ids2.ravel()[lin_b].astype(np.int64)
     dmax = np.maximum(flat_d[lin_a], flat_d[lin_b])
 
     swap = ai > bi
@@ -551,20 +550,19 @@ def build_neighborhood_graph(density: DensityMap, cmap: ClusterMap,
     if connectivity not in NEIGHBOR_OFFSETS:
         raise ParameterError("connectivity must be 4 or 8")
 
-    peak_lin, areas, n_ids = _peaks_and_areas(d, cmap)
-    w = cmap.width
-    nodes: dict[int, ClusterNode] = {}
-    flat_d = d.ravel()
-    for cid in range(n_ids):
-        if areas[cid] == 0:
-            continue
-        pl = int(peak_lin[cid])
-        nodes[cid] = ClusterNode(
-            id=cid,
-            peak_xy=(pl % w, pl // w),
-            peak_density=float(flat_d[pl]),
-            area_px=int(areas[cid]),
-        )
+    # each id's area and peak pixel: its densest, smallest linear index on
+    # ties, unless a peak_hint gives one for every id
+    flat_ids = cmap.ids.ravel()
+    fg = np.flatnonzero(flat_ids >= 0)
+    areas = np.bincount(flat_ids[fg])
+    hint = cmap.peak_hint
+    if hint is not None and hint.shape[0] == areas.size:
+        peak_lin = hint.astype(np.int64)
+    else:
+        _, peak_lin = _group_min(flat_ids[fg], areas.size, -d.ravel()[fg], fg)
+    live = np.flatnonzero(areas)
+    nodes = _nodes(live, peak_lin[live], d.ravel()[peak_lin[live]], areas[live],
+                   cmap.width)
     edges = _boundary_edges(d, cmap.ids, peak_lin, connectivity)
     return ClusterGraph(nodes, edges)
 
@@ -581,11 +579,8 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     edge's retained nearest boundary pixels.
     """
     w = cmap.width
-    # working copies: id -> [peak_lin, peak_density, area]
-    nodes_w = {
-        cid: [nd.peak_xy[0] + nd.peak_xy[1] * w, nd.peak_density, nd.area_px]
-        for cid, nd in graph.nodes.items()
-    }
+    is_node, peak_lin, peak_density, area = _node_columns(graph.nodes, cmap)
+    peaks, densities = peak_lin.tolist(), peak_density.tolist()
     # the edge columns as lists; a merge kills rows and appends new ones
     e = graph.edges
     ea, eb = e.a.tolist(), e.b.tolist()
@@ -593,40 +588,37 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     dist, pix = e.dist.tolist(), e.pixel.tolist()
     alive = [True] * len(ea)
     # id -> {neighbor id: row of the pair}
-    adj: dict[int, dict[int, int]] = {cid: {} for cid in nodes_w}
+    adj: dict[int, dict[int, int]] = {cid: {} for cid in graph.nodes}
     for r, (a, b) in enumerate(zip(ea, eb)):
         adj[a][b] = adj[b][a] = r
 
-    # entries (score, a, b, row); one is stale once its row is dead or its
-    # score is no longer the row's
-    heap = [(min(d), a, b, r) for r, (d, a, b) in enumerate(zip(dist, ea, eb))]
+    # entries (score, a, b, row) of the rows that can merge; one is stale
+    # once its row is dead or its score is no longer the row's. A row's
+    # score never rises, so rows above the limit never need an entry.
+    limit = params.merge_distance_px
+    heap = [(min(dist[r]), ea[r], eb[r], r)
+            for r in np.flatnonzero(e.dist.min(axis=1) <= limit).tolist()]
     heapq.heapify(heap)
 
     # each id's parent in the merge forest, whose roots are the survivors
-    flat = cmap.ids.ravel()
-    fg = np.flatnonzero(flat >= 0)
-    n_ids = cmap.peak_hint.shape[0] if cmap.peak_hint is not None else (
-        int(flat[fg].max()) + 1 if fg.size else 0)
-    lut = np.arange(max(n_ids, 1), dtype=np.int32)
-    while heap and heap[0][0] <= params.merge_distance_px:
+    lut = np.arange(is_node.size, dtype=np.int32)
+    while heap:
         score, a, b, r = heapq.heappop(heap)
         if not alive[r] or score != min(dist[r]):
             continue
         alive[r] = False
 
-        na, nb = nodes_w[a], nodes_w[b]
-        if (na[1], -a) > (nb[1], -b):  # higher peak wins, tie -> smaller id
+        # higher peak wins, tie -> smaller id
+        if (densities[a], -a) > (densities[b], -b):
             surv, gone = a, b
         else:
             surv, gone = b, a
         lut[gone] = surv
-        nodes_w[surv][2] += nodes_w[gone][2]
-        del nodes_w[gone]
         del adj[surv][gone]
         gone_adj = adj.pop(gone)
         del gone_adj[surv]
 
-        speak = nodes_w[surv][0]
+        speak = peaks[surv]
         spx, spy = speak % w, speak // w
         for c in sorted(gone_adj):
             old = gone_adj[c]
@@ -656,18 +648,18 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
             for side, cand in ((s, cand_surv), (1 - s, cand_other)):
                 if cand < (dist[new][side], pix[new][side]):
                     dist[new][side], pix[new][side] = cand
-            heapq.heappush(heap, (min(dist[new]), ea[new], eb[new], new))
+            if min(dist[new]) <= limit:
+                heapq.heappush(heap, (min(dist[new]), ea[new], eb[new], new))
 
     lut = _roots(lut)
-    new_flat = flat.copy()
-    new_flat[fg] = lut[flat[fg]]
 
-    hint = np.full(max(n_ids, 1), -1, dtype=np.int64)
-    out_nodes: dict[int, ClusterNode] = {}
-    for cid in sorted(nodes_w):
-        pl, pd, area = nodes_w[cid]
-        out_nodes[cid] = ClusterNode(cid, (pl % w, pl // w), pd, int(area))
-        hint[cid] = pl
+    # a survivor takes the area of every node merged into it
+    total = np.zeros_like(area)
+    np.add.at(total, lut, area)
+    out = np.flatnonzero(is_node & (lut == np.arange(lut.size)))
+    hint = np.full(is_node.size, -1, dtype=np.int64)
+    hint[out] = peak_lin[out]
+    out_nodes = _nodes(out, peak_lin[out], peak_density[out], total[out], w)
     live = np.flatnonzero(alive)
     a_col = np.array(ea, dtype=np.int64)
     b_col = np.array(eb, dtype=np.int64)
@@ -677,7 +669,7 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
         np.array(maxd, dtype=np.float64)[rows],
         np.array(dist, dtype=np.float64).reshape(-1, 2)[rows],
         np.array(pix, dtype=np.int64).reshape(-1, 2)[rows])
-    new_cmap = ClusterMap(new_flat.reshape(cmap.ids.shape), peak_hint=hint)
+    new_cmap = ClusterMap(np.where(cmap.ids >= 0, lut[cmap.ids], -1), peak_hint=hint)
     return ClusterGraph(out_nodes, out_edges), new_cmap
 
 
@@ -696,23 +688,16 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
         raise DataError("cluster map shape does not match density")
     h, w = d.shape
 
-    n_ids = cmap.peak_hint.shape[0] if cmap.peak_hint is not None else (
-        max(graph.nodes, default=-1) + 1)
-    n_ids = max(n_ids, max(graph.nodes, default=-1) + 1, 1)
-    thr = np.full(n_ids, np.inf)
-    peak_lin = np.full(n_ids, -1, dtype=np.int64)
-    for cid, nd in graph.nodes.items():
-        if nd.peak_density <= params.min_peak_density:
-            continue  # killed: threshold stays +inf, wiping the region
-        thr[cid] = params.truncation_ratio * nd.peak_density
-        peak_lin[cid] = nd.peak_xy[0] + nd.peak_xy[1] * w
+    is_node, peak_lin, peak_density, _ = _node_columns(graph.nodes, cmap)
+    n_ids = is_node.size
+    # a killed cluster's threshold is +inf, which wipes its region
+    killed = ~is_node | (peak_density <= params.min_peak_density)
+    peak_lin[killed] = -1
+    thr = np.where(killed, np.inf, params.truncation_ratio * peak_density)
 
-    flat = ids2.ravel()
-    fg = np.flatnonzero(flat >= 0)
-    new_flat = np.full(flat.shape, -1, dtype=np.int32)
-    keep = d.ravel()[fg] >= thr[flat[fg]]
-    new_flat[fg[keep]] = flat[fg[keep]]
-    val, row, x0, x1 = _runs(new_flat.reshape(h, w))
+    # background stays -1 whatever threshold its -1 picks
+    new2d = np.where(d >= thr[ids2], ids2, -1)
+    val, row, x0, x1 = _runs(new2d)
 
     # Same-cluster runs that touch in consecutive rows. Composite keys
     # (val*(h+1) + row)*(w+2) + x increase strictly over the run table, and
@@ -747,21 +732,15 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
 
     # clear fragments that are not the peak's component
     kept = root == keep_root[val]
-    new_flat[run_pixels(row[~kept], x0[~kept], x1[~kept], w)] = -1
-    new2d = new_flat.reshape(h, w)
+    new2d.flat[run_pixels(row[~kept], x0[~kept], x1[~kept], w)] = -1
     areas = np.bincount(val[kept], weights=x1[kept] - x0[kept], minlength=n_ids)
+    out = np.flatnonzero((peak_lin >= 0) & (areas > 0))
     hint = np.full(n_ids, -1, dtype=np.int64)
-    out_nodes: dict[int, ClusterNode] = {}
-    for cid in sorted(graph.nodes):
-        if peak_lin[cid] < 0 or areas[cid] == 0:
-            continue
-        nd = graph.nodes[cid]
-        out_nodes[cid] = ClusterNode(cid, nd.peak_xy, nd.peak_density,
-                                     int(areas[cid]))
-        hint[cid] = peak_lin[cid]
+    hint[out] = peak_lin[out]
+    out_nodes = _nodes(out, peak_lin[out], peak_density[out],
+                       areas[out].astype(np.int64), w)
 
-    out_edges = _boundary_edges(d, new2d, np.where(peak_lin < 0, 0, peak_lin),
-                                params.connectivity)
+    out_edges = _boundary_edges(d, new2d, peak_lin, params.connectivity)
     new_cmap = ClusterMap(new2d, peak_hint=hint)
     return ClusterGraph(out_nodes, out_edges), new_cmap
 

@@ -97,6 +97,9 @@ def bench_run(sizes, repeats: int = 3, seed: int = 0, n_points: int = 100_000,
     """
     if params is None:
         params = ClusterParams()
+    # smooth imports scipy on first use; import it first so that kde_ms
+    # times the KDE alone
+    import scipy.ndimage  # noqa: F401
     rows = []
     for size in sizes:
         size = int(size)

@@ -100,9 +100,11 @@ def brute_boundary_stats(density: DensityMap, cmap: ClusterMap,
                          connectivity: int):
     """Slow per-pixel adjacency scan; the oracle for edge summaries.
 
-    Returns {(a, b): (count, max_density, {cid: min_peak_distance})} using
+    Returns {(a, b): (count, max_density, {cid: (distance, pixel)})} using
     the same peak definition as the fast path (max density, then smallest
-    linear index).
+    linear index). distance is the smallest distance from a side's peak to
+    one of its own pixels on the boundary, and pixel the linear index
+    y * width + x of the nearest such pixel, the smallest on ties.
     """
     d = density.values
     ids = cmap.ids
@@ -137,8 +139,8 @@ def brute_boundary_stats(density: DensityMap, cmap: ClusterMap,
                 mxd = max(mxd, d[y, x], d[ny, nx])
                 for cid, (bx, by) in ((c1, (x, y)), (c2, (nx, ny))):
                     px, py = peaks[cid][1]
-                    dist = float(np.hypot(bx - px, by - py))
-                    dists[cid] = min(dists.get(cid, np.inf), dist)
+                    near = (float(np.hypot(bx - px, by - py)), by * w + bx)
+                    dists[cid] = min(dists.get(cid, (np.inf, 0)), near)
                 edges[key] = (cnt, mxd, dists)
     return edges
 

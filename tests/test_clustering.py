@@ -201,8 +201,17 @@ def test_graph_mismatched_dims_error():
 
 
 def test_graph_fields_match_brute_oracle():
-    dm = noisy_map(23, 20, bandwidth=1.0)
-    for conn in (4, 8):
+    rng = np.random.default_rng(29)
+    yy, xx = np.mgrid[0:9, 0:11]
+    # one bump on the middle of every border, so clusters meet on all four
+    borders = sum(np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / 6.0)
+                  for cx, cy in ((5, 0), (5, 8), (0, 4), (10, 4)))
+    maps = [noisy_map(23, 20, bandwidth=1.0),
+            _dm(np.round(rng.random((1, 23)), 1)),   # 1xN
+            _dm(np.round(rng.random((23, 1)), 1)),   # Nx1
+            _dm([[1.0, 0.2], [0.3, 0.9]]),           # 2x2
+            _dm(borders)]
+    for dm, conn in itertools.product(maps, (4, 8)):
         cm = initial_clusters(dm, conn)
         cm_nohint = ClusterMap(cm.ids.copy())  # exercise the generic peak path
         for m in (cm, cm_nohint):
@@ -215,7 +224,8 @@ def test_graph_fields_match_brute_oracle():
                 assert e.count[i] == cnt
                 assert e.max_density[i] == pytest.approx(mxd)
                 for side, cid in enumerate(key):
-                    assert e.dist[i, side] == pytest.approx(dists[cid])
+                    assert e.dist[i, side] == pytest.approx(dists[cid][0])
+                    assert e.pixel[i, side] == dists[cid][1]
             areas = np.bincount(m.ids[m.ids >= 0].ravel())
             for cid, node in graph.nodes.items():
                 assert node.area_px == areas[cid]

@@ -345,6 +345,27 @@ def test_cli_cluster_imports_scipy_before_the_kde_clock(tmp_path):
     assert "kde_ms=" in run.stdout
 
 
+def test_bench_imports_scipy_before_the_first_clock():
+    # bench's first kde_ms sample must not include the lazy scipy import
+    src = pathlib.Path(densitycluster.__file__).parents[1]
+    code = (
+        "import sys, time\n"
+        "from densitycluster import synth\n"
+        "seen = []\n"
+        "clock = time.perf_counter\n"
+        "def recorder():\n"
+        "    seen.append('scipy.ndimage' in sys.modules)\n"
+        "    return clock()\n"
+        "time.perf_counter = recorder\n"
+        "synth.bench_run([64], 1, 0, 100)\n"
+        "sys.exit(0 if seen and seen[0] else 'scipy imported after the first clock')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def _invert_viewport(doc):
     vp = doc["viewport"]
     vp["x_min"], vp["x_max"] = vp["x_max"], vp["x_min"]
