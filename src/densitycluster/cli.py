@@ -267,6 +267,8 @@ def cmd_sql(args) -> int:
     doc = read_cluster_document(args.cluster_json)
     for c in doc.clusters:
         if c.id == args.cluster_id:
+            if not c.rects:  # a fault of the document, not of the command line
+                raise DataError(f"cluster {c.id} has no rectangles to emit")
             print(emit_sql_predicate(doc.rect_shape(c), args.x_col, args.y_col))
             return 0
     raise ClusterNotFoundError(args.cluster_id)

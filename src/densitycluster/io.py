@@ -6,7 +6,8 @@ The cluster JSON is owned by ClusterDocument: `cluster_document` builds it,
 Number text is each value's shortest round-trip repr. A document's geometry
 lies on pixel corners, so it holds few distinct coordinates: `_number_texts`
 formats each distinct value once, for the cluster JSON, the SVG paths and
-the SQL predicates alike.
+the SQL predicates alike, and `read_cluster_document` decodes each distinct
+number text once.
 
 Density dump layout: little-endian, two uint32 (width, height), then
 width*height float32 values row-major.
@@ -411,13 +412,23 @@ def _check_numbers(items, arity, what, bools: bool) -> None:
         raise DataError(f"cluster JSON: every {what} must be {arity} finite numbers")
 
 
+class _FloatMemo(dict):
+    """Float of each number text, decoded on its first lookup: a document's
+    coordinates repeat, so most lookups find one. Keyed by the text, so that
+    "0.0" and "-0.0" stay apart."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def read_cluster_document(path) -> ClusterDocument:
     """Load a cluster JSON document and validate it into a ClusterDocument."""
     try:
         # decoded in one call: JSON needs no newline translation
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_FloatMemo().__getitem__)
     # ValueError: not JSON, not UTF-8, or an integer too long to convert
     except (ValueError, RecursionError) as exc:
         raise DataError(f"cluster JSON: not valid JSON ({exc})") from exc

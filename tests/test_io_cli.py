@@ -447,6 +447,58 @@ def test_cli_coordinates_that_are_no_finite_floats_are_data_errors(
     assert f"every {what} must be" in err and "Traceback" not in err
 
 
+def _write_with_literal(doc, path, literal, out):
+    """Write `doc` with the item at `path` spelled as the raw JSON `literal`
+    (json.dumps has no spelling for 1e400)."""
+    doc = json.loads(json.dumps(doc))
+    _mutate(doc, path, "\x01")
+    out.write_text(json.dumps(doc).replace('"\\u0001"', literal))
+
+
+_NON_FINITE = ["1e400", "-1e400", "NaN", "Infinity", "-Infinity"]
+
+
+@pytest.mark.parametrize("literal", _NON_FINITE)
+@pytest.mark.parametrize("path, what", [
+    (("clusters", 0, "outer", 3, 1), "vertex"),
+    (("clusters", 0, "rects", 2, 0), "rect"),
+])
+@pytest.mark.parametrize("command", ["render", "sql", "label"])
+def test_cli_non_finite_coordinates_are_data_errors(tmp_path, capsys, command,
+                                                    path, what, literal):
+    bad = tmp_path / "bad.json"
+    _write_with_literal(_FIXTURE_DOC, path, literal, bad)
+    assert main(_doc_argv(command, tmp_path) + ["--cluster-json", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert f"every {what} must be" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, literal", [
+    (("clusters", 0, "peak", "density"), "NaN"),
+    (("params", "bandwidth_px"), "Infinity"),
+    (("params", "bandwidth_px"), "1e400"),
+], ids=["nan_peak_density", "infinity_param", "huge_param"])
+@pytest.mark.parametrize("command", ["render", "sql"])
+def test_cli_non_finite_outside_geometry_is_accepted(tmp_path, capsys, command,
+                                                     path, literal):
+    # only the geometry is checked for finite numbers
+    doc_path = tmp_path / "doc.json"
+    _write_with_literal(_FIXTURE_DOC, path, literal, doc_path)
+    assert main(_doc_argv(command, tmp_path) + ["--cluster-json", str(doc_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_sql_cluster_without_rects_is_data_error(tmp_path, capsys):
+    # an empty cover is a fault of the document: exit 3, not the usage code 1
+    doc = json.loads(json.dumps(_FIXTURE_DOC))
+    _mutate(doc, ("clusters", 0, "rects"), [])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_doc_argv("sql", tmp_path) + ["--cluster-json", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "cluster 92 has no rectangles to emit" in err and "Traceback" not in err
+
+
 def test_cli_cluster_unallocatable_grid_is_data_error(tmp_path, capsys):
     # each grid or kernel exceeds any address space, so it fails before
     # anything of its size is allocated: a 10**8 x 10**8 grid, grids whose

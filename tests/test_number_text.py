@@ -1,10 +1,13 @@
 """Number text of the cluster JSON, the SVG paths and the SQL predicates.
 
-Each of them formats every distinct coordinate once; these tests pin the
-result to the per-value formatting it replaces.
+Each of them formats every distinct coordinate once, and the reader decodes
+every distinct number text once; these tests pin the result to the
+per-value formatting and decoding they replace.
 """
 import json
+import pathlib
 import re
+import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -121,3 +124,70 @@ def test_cluster_documents_rewrite_byte_identically(tmp_path, fixture_corpus, sp
         assert first.read_text() == json.dumps(doc.to_dict(), separators=(",", ":")) + "\n"
         write_json(second, read_cluster_document(first))
         assert second.read_bytes() == first.read_bytes(), name
+
+
+_FIXTURE_TEXT = (pathlib.Path(__file__).parent / "data"
+                 / "two_gaussians_clusters.json").read_text()
+_GEOMETRY = ("outer", "holes", "rects")
+# signed zeros, an int, two spellings of 100, an underflow to 0.0, the
+# smallest subnormal and two plain decimals
+_RAW = ["-0.0", "0.0", "0", "1E2", "100.0", "1e-400", "5e-324", "0.1", "2.5"]
+
+
+def _geometry_numbers(clusters):
+    """Every geometry number of the clusters, in document text order."""
+    out = []
+
+    def walk(v):
+        if isinstance(v, list):
+            for item in v:
+                walk(item)
+        else:
+            out.append(v)
+    for c in clusters:
+        for field in _GEOMETRY:
+            walk(c[field] if isinstance(c, dict) else getattr(c, field))
+    return out
+
+
+def _same(a, b):
+    """Equal, with equal types, and floats equal bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pattern=st.lists(st.sampled_from(_RAW), min_size=1, max_size=12))
+def test_read_decodes_number_text_as_json_does(tmp_path_factory, pattern):
+    # the fixture's geometry numbers respelled by cycling through `pattern`,
+    # so that every text in it repeats
+    doc = json.loads(_FIXTURE_TEXT)
+    n = len(_geometry_numbers(doc["clusters"]))
+    texts = (pattern * (n // len(pattern) + 1))[:n]
+    for c in doc["clusters"]:  # every geometry number becomes a placeholder
+        for field in _GEOMETRY:
+            c[field] = json.loads(json.dumps(c[field]), parse_float=lambda _: "\x01")
+    spelled = iter(texts)
+    text = re.sub(r'"\\u0001"', lambda _: next(spelled), json.dumps(doc))
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(text)
+
+    got = read_cluster_document(path)
+    want = json.loads(text)
+    assert got.space == want["space"] and _same(got.params, want["params"])
+    for record, c in zip(got.clusters, want["clusters"], strict=True):
+        assert _same([record.id, record.peak, record.area_px, record.color],
+                     [c["id"], c["peak"], c["area_px"], c["color"]])
+    numbers = _geometry_numbers(got.clusters)
+    assert _same(numbers, _geometry_numbers(want["clusters"]))
+    first = {}
+    for t, v in zip(texts, numbers, strict=True):
+        if isinstance(v, float):  # one float object per distinct text
+            assert first.setdefault(t, v) is v
