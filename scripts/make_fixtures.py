@@ -2,9 +2,10 @@
 """Regenerate the committed test fixtures.
 
 Writes tests/data/two_gaussians.csv (10k points from two clipped Gaussians
-whose peaks sit ~60 px apart on a 128x128 grid) and the frozen golden SVG
-produced by running cluster + render on it. Rerun after any intentional
-change to the pipeline output and commit the results.
+whose peaks sit ~60 px apart on a 128x128 grid), its cluster JSON, and the
+frozen golden SVG and labels (plain and --merge) produced by running render
+and label on them. Rerun after any intentional change to the pipeline output
+and commit the results.
 """
 import pathlib
 import sys
@@ -49,6 +50,13 @@ def main_():
     assert rc == 0, rc
     print(f"wrote {cluster_json}")
     print(f"wrote {golden}")
+    for flags, name in (([], "labels"), (["--merge"], "merged")):
+        golden = DATA / f"two_gaussians_golden_{name}.json"
+        rc = main(["label", "--input", str(csv_path), "--text-col", "text",
+                   "--cluster-json", str(cluster_json), "--output", str(golden),
+                   *flags])
+        assert rc == 0, rc
+        print(f"wrote {golden}")
 
 
 if __name__ == "__main__":

@@ -144,28 +144,30 @@ def _read_csv_columns(data, xi, yi, wi, ti) -> PointBatch | None:
         # 5 and 6 where csv.reader finds 7 and 8, and raises nothing
         return None
     usecols = [xi, yi] if wi is None else [xi, yi, wi]
+    dtype, ndmin = np.float64, 2
+    if ti is not None:
+        # the text is one more field of the same pass, in usecols order; a row
+        # short of it, or a whitespace-only line, makes loadtxt raise
+        dtype = [(f"f{i}", np.float64) for i in range(len(usecols))] + [("text", object)]
+        usecols, ndmin = usecols + [ti], 1
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cols = np.loadtxt(_csv_lines(data), delimiter=",", skiprows=1,
-                              usecols=usecols, comments=None, ndmin=2,
-                              dtype=np.float64)
+            rows = np.loadtxt(_csv_lines(data), delimiter=",", skiprows=1,
+                              usecols=usecols, comments=None, ndmin=ndmin,
+                              dtype=dtype)
     except (ValueError, Warning):
         return None
-    if not len(cols) or not np.isfinite(cols).all() or (cols[:, 2:] < 0).any():
+    if ti is None:
+        cols, texts = np.ascontiguousarray(rows.T), None
+    else:
+        cols = [np.ascontiguousarray(rows[f]) for f in rows.dtype.names[:-1]]
+        texts = rows["text"].tolist()
+    if not len(rows) or not all(np.isfinite(c).all() for c in cols) \
+            or any((w < 0).any() for w in cols[2:]):
         return None
-    texts = None
-    if ti is not None:
-        reader = csv.reader(_csv_lines(data))
-        next(reader)
-        try:
-            texts = [row[ti] for row in reader if row]
-        except IndexError:
-            return None
-        if len(texts) != len(cols):
-            return None
-    xs, ys, *ws = np.ascontiguousarray(cols.T)
-    return PointBatch(xs, ys, ws[0] if ws else np.ones(len(cols)), texts)
+    xs, ys, *ws = cols
+    return PointBatch(xs, ys, ws[0] if ws else np.ones(len(rows)), texts)
 
 
 def _iter_csv(data, xi, yi, wi, ti):

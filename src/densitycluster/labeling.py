@@ -20,7 +20,9 @@ from .errors import ParameterError
 from .geometry import ClusterShape
 from .io import _number_texts
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# every byte but [a-z0-9] maps to a space; a non-ASCII code point encodes as "?"
+_WORD_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32
+                    for b in range(256))
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _MIN_TOKEN_LEN = 2
 
@@ -44,15 +46,22 @@ class LabelResult:
     top_terms: list[tuple[str, float]]
 
 
+def _words(text: str) -> list[str]:
+    """The ASCII-alphanumeric runs of the lowercased text. Lowering runs
+    first; every other code point, each non-ASCII one included, separates."""
+    return text.lower().encode("ascii", "replace").translate(_WORD_BYTES) \
+        .decode("ascii").split()
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase ASCII-alphanumeric runs, minus short tokens and stopwords."""
-    return [t for t in _TOKEN_RE.findall(text.lower())
-            if len(t) >= _MIN_TOKEN_LEN and t not in STOPWORDS]
+    return [t for t in _words(text) if len(t) >= _MIN_TOKEN_LEN and t not in STOPWORDS]
 
 
 def _count_tokens(texts) -> Counter:
-    # tokenization is per-word, so batching documents through one regex pass
-    # gives identical counts to summing per-document tokenize() calls
+    # words never span texts, so one pass over each ~1 MiB of joined texts
+    # counts as summing per-text tokenize() calls does; short words and
+    # stopwords are dropped from the distinct words only
     counts: Counter = Counter()
     chunk: list[str] = []
     size = 0
@@ -62,10 +71,12 @@ def _count_tokens(texts) -> Counter:
         chunk.append(t)
         size += len(t)
         if size > 1 << 20:
-            counts.update(tokenize("\n".join(chunk)))
+            counts.update(_words("\n".join(chunk)))
             chunk, size = [], 0
     if chunk:
-        counts.update(tokenize("\n".join(chunk)))
+        counts.update(_words("\n".join(chunk)))
+    for word in [w for w in counts if len(w) < _MIN_TOKEN_LEN or w in STOPWORDS]:
+        del counts[word]
     return counts
 
 
@@ -142,12 +153,13 @@ def ctfidf_labels(assignment: dict[int, np.ndarray], documents,
         raise ParameterError("k must be >= 1")
     # each document is in at most one cluster, so the corpus counts are the
     # cluster counts plus the unassigned documents' counts
+    docs = np.array(documents, dtype=object)
     cluster_counts: dict[int, Counter] = {}
-    unassigned = np.ones(len(documents), dtype=bool)
+    unassigned = np.ones(len(docs), dtype=bool)
     for cid in sorted(assignment):
-        cluster_counts[cid] = _count_tokens(documents[i] for i in assignment[cid])
+        cluster_counts[cid] = _count_tokens(docs[assignment[cid]].tolist())
         unassigned[assignment[cid]] = False
-    corpus = _count_tokens(documents[i] for i in np.flatnonzero(unassigned))
+    corpus = _count_tokens(docs[unassigned].tolist())
     for counts in cluster_counts.values():
         corpus.update(counts)
 

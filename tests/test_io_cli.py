@@ -125,7 +125,8 @@ def _assert_same_as_per_row(path, **cols):
 _NUMBERS = st.one_of(st.integers(-999, 999).map(str), st.floats().map(repr))  # nan, inf too
 _WEIGHTS = st.one_of(st.integers(0, 999).map(str), st.floats(0).map(repr),
                      st.sampled_from(["-1", "-0.0", "0"]))
-_TEXTS = st.sampled_from(["", "alpha", "a b", "1.5"])
+_TEXTS = st.sampled_from(["", "alpha", "a b", "1.5", " ", "\talpha\t", "#", "\x00",
+                         "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
 _CSV_TOKENS = list("0123456789.e-_, #") + ['"', "\n", "\r", "nan", "inf", "\uff11"]
 # one field replacing a valid one; None cuts the row short there
 _ODD_FIELDS = st.one_of(
@@ -141,7 +142,8 @@ _ODD_FIELDS = st.one_of(
                       max_size=2),
        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r", ""]), min_size=7, max_size=7),
        cols=st.sampled_from([{}, {"weight_col": "w"}, {"text_col": "t"},
-                             {"weight_col": "w", "text_col": "t"}]))
+                             {"weight_col": "w", "text_col": "t"}, {"text_col": "x"},
+                             {"x_col": "w", "text_col": "x"}]))
 def test_load_csv_matches_per_row_path(tmp_path_factory, rows, edits, ends, cols):
     """Valid rows with at most two odd fields or cut rows, under any line ends."""
     for i, j, field in edits:
@@ -173,8 +175,13 @@ _VALID_ROWS = "1,2,1\n" * 200   # one bad row after these is under the 1% limit
     ("x,y,w\n" + _VALID_ROWS + "3,4,-1\n", {"weight_col": "w"},
      [1.0] * 200, [1.0] * 200, None, 202),
     ("x,y,w\n" + _VALID_ROWS + "nan,4,1\n", {}, [1.0] * 200, [1.0] * 200, None, 202),
+    ("x,y,w\n" + _VALID_ROWS + " \t \n", {"text_col": "w"},
+     [1.0] * 200, [1.0] * 200, ["1"] * 200, 202),   # whitespace-only line
+    ("x,y,w,t\n" + "1,2,1,a\n" * 200 + "3,4,1\n", {"weight_col": "w", "text_col": "t"},
+     [1.0] * 200, [1.0] * 200, ["a"] * 200, 202),   # cut short of the text column
 ], ids=["quoted-delimiter", "float-only-syntax", "empty-weight", "lone-cr-header",
-        "short-row", "short-text-row", "negative-weight", "non-finite"])
+        "short-row", "short-text-row", "negative-weight", "non-finite",
+        "whitespace-only-line", "cut-before-text"])
 def test_load_csv_per_row_fallback_regressions(tmp_path, text, cols, xs, ws, texts,
                                                bad_row):
     path = tmp_path / "pts.csv"
@@ -759,6 +766,18 @@ def test_cli_label_and_merge(tmp_path):
     assert rc == 0
     doc = json.load(open(merged))
     assert all("label" in c for c in doc["clusters"])
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ([], "two_gaussians_golden_labels.json"),
+    (["--merge"], "two_gaussians_golden_merged.json"),
+])
+def test_cli_label_golden_bytes(tmp_path, flags, golden):
+    out = tmp_path / "labels.json"
+    assert main(["label", "--input", str(FIXTURE_CSV), "--text-col", "text",
+                 "--cluster-json", str(DATA / "two_gaussians_clusters.json"),
+                 "--output", str(out), *flags]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_cli_label_pixel_space_matches_data_space(tmp_path):

@@ -1,5 +1,7 @@
 import math
+import re
 import sqlite3
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from densitycluster.errors import ParameterError
 from densitycluster.geometry import (ClusterShape, PolygonRing,
                                      shape_for_cluster, to_data_space)
 from densitycluster.io import format_number
-from densitycluster.labeling import (STOPWORDS, assign_documents,
+from densitycluster.labeling import (STOPWORDS, _count_tokens, assign_documents,
                                      ctfidf_labels, emit_sql_predicate,
                                      tokenize)
 
@@ -39,6 +41,52 @@ def test_tokenize_splits_on_hyphen():
 
 def test_tokenize_drops_short_tokens():
     assert tokenize("a x yz") == ["yz"]
+
+
+def _regex_tokenize(text):
+    return [t for t in re.findall(r"[a-z0-9]+", text.lower())
+            if len(t) >= 2 and t not in STOPWORDS]
+
+
+# code points whose lowercase form, or lack of one, could move a word edge:
+# the Kelvin sign lowers to ASCII "k", "İ" to "i" plus a combining dot; "ß",
+# fullwidth and Arabic-Indic digits and combining marks stay non-ASCII; NUL,
+# \x0b, \x85 and \u2028 are separators; JSON lines can carry lone surrogates
+_ODD_CHARS = ["\u212a", "\u0130", "\u00df", "\uff11", "\u0661", "\u0669", "\u0301",
+              "\u00e9", "\x00", "\x0b", "\x85", "\u2028", "\ud800", "\udfff", "?", " "]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from(_ODD_CHARS),
+    st.sampled_from(sorted(STOPWORDS) + ["Ab", "zZ9", "K", "x"]),
+    st.characters(codec=None, exclude_categories=()),   # any code point
+    st.text(st.characters(min_codepoint=0, max_codepoint=0x7F), max_size=4),
+)).map("".join))
+def test_tokenize_matches_regex_reference(text):
+    assert tokenize(text) == _regex_tokenize(text)
+
+
+def test_tokenize_odd_code_points():
+    assert tokenize("\u212aelvin caf\u00e9 \u0130stanbul stra\u00dfe a\uff11b\u0661c1") == \
+        ["kelvin", "caf", "stanbul", "stra", "c1"]
+    assert tokenize("ab\ud800cd\x00ef\u2028gh") == ["ab", "cd", "ef", "gh"]
+
+
+def test_count_tokens_over_chunks_equals_per_text_counts():
+    # more than 1 MiB of text, so the counts span several joined chunks, with
+    # words at both ends of each text and empty texts mixed in
+    texts = []
+    for i in range(80_000):
+        texts.append(None if i % 11 == 0 else "" if i % 13 == 0 else
+                     f"w{i % 97} The Alpha{i % 13} x \u212a{i % 7} caf\u00e9 notes end{i % 5}")
+    assert sum(len(t) for t in texts if t) > 2 << 20
+    want = Counter()
+    for t in texts:
+        if t:
+            want.update(tokenize(t))
+    got = _count_tokens(texts)
+    assert got == want and list(got.items()) == list(want.items())
 
 
 def test_stopword_list_size_documented():
