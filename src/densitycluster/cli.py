@@ -40,10 +40,10 @@ class RunConfig:
     height: int = 512
     bandwidth: float | None = None   # None -> 1% of max(width, height)
     padding: float = DEFAULT_PADDING_FRACTION
-    truncation_ratio: float = 0.1
-    merge_distance: float = 8.0
-    connectivity: int = 8
-    min_peak_density: float = 0.0
+    truncation_ratio: float = ClusterParams.truncation_ratio
+    merge_distance: float = ClusterParams.merge_distance_px
+    connectivity: int = ClusterParams.connectivity
+    min_peak_density: float = ClusterParams.min_peak_density
     palette: int = 10
     output: str | None = None
     density_out: str | None = None
@@ -86,7 +86,8 @@ _KINDS = {"str": str, "int": int, "float": float}
 
 
 def _run_config(args) -> RunConfig:
-    """RunConfig from flags and config values, each coerced to its field type."""
+    """RunConfig from flags and config values. As argparse reads the flags,
+    a float setting takes an int too, and an int setting takes no float."""
     values = {}
     for f in fields(RunConfig):
         v = _resolve(args, f.name)
@@ -94,7 +95,7 @@ def _run_config(args) -> RunConfig:
             continue
         kind = _KINDS[f.type.split(" |")[0]]
         try:
-            accepted = str if kind is str else (int, float)
+            accepted = (int, float) if kind is float else kind
             if isinstance(v, bool) or not isinstance(v, accepted):
                 raise TypeError
             values[f.name] = kind(v)
@@ -245,8 +246,7 @@ def cmd_label(args) -> int:
     load_ms = (time.perf_counter() - t_load) * 1000
     shapes = [doc.rect_shape(c) for c in doc.clusters]
     assignment = assign_documents(batch, shapes, doc.viewport)
-    texts = batch.texts if batch.texts is not None else [None] * len(batch)
-    labels = ctfidf_labels(assignment, texts, args.top_k)
+    labels = ctfidf_labels(assignment, batch.texts, args.top_k)
     label_rows = [{"id": lr.cluster_id,
                    "label": [[t, s] for t, s in lr.top_terms]}
                   for lr in sorted(labels, key=lambda lr: lr.cluster_id)]

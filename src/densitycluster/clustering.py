@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -69,12 +69,7 @@ class ClusterParams:
             raise ParameterError("min_peak_density must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "truncation_ratio": self.truncation_ratio,
-            "merge_distance_px": self.merge_distance_px,
-            "connectivity": self.connectivity,
-            "min_peak_density": self.min_peak_density,
-        }
+        return asdict(self)
 
 
 @dataclass

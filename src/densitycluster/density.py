@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,14 +81,7 @@ class Viewport:
         return self.y_min + py * self.sy
 
     def to_dict(self) -> dict:
-        return {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "y_min": self.y_min,
-            "y_max": self.y_max,
-            "width": self.width,
-            "height": self.height,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Viewport":

@@ -106,11 +106,8 @@ def to_data_space(shape: ClusterShape, viewport: Viewport) -> ClusterShape:
     sx, sy = viewport.sx, viewport.sy
     x0, y0 = viewport.x_min, viewport.y_min
 
-    def _pt(p):
-        return (x0 + p[0] * sx, y0 + p[1] * sy)
-
     def _ring(ring: PolygonRing) -> PolygonRing:
-        return PolygonRing(tuple(_pt(v) for v in ring.vertices))
+        return PolygonRing(tuple([(x0 + x * sx, y0 + y * sy) for x, y in ring.vertices]))
 
     rects = [(x0 + r[0] * sx, y0 + r[1] * sy, x0 + r[2] * sx, y0 + r[3] * sy)
              for r in shape.rects]

@@ -144,25 +144,21 @@ def _read_csv_columns(data, xi, yi, wi, ti) -> PointBatch | None:
         # 5 and 6 where csv.reader finds 7 and 8, and raises nothing
         return None
     usecols = [xi, yi] if wi is None else [xi, yi, wi]
-    dtype, ndmin = np.float64, 2
+    dtype = [(f"f{i}", np.float64) for i in range(len(usecols))]
     if ti is not None:
         # the text is one more field of the same pass, in usecols order; a row
         # short of it, or a whitespace-only line, makes loadtxt raise
-        dtype = [(f"f{i}", np.float64) for i in range(len(usecols))] + [("text", object)]
-        usecols, ndmin = usecols + [ti], 1
+        dtype, usecols = dtype + [("text", object)], usecols + [ti]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(_csv_lines(data), delimiter=",", skiprows=1,
-                              usecols=usecols, comments=None, ndmin=ndmin,
+                              usecols=usecols, comments=None, ndmin=1,
                               dtype=dtype)
     except (ValueError, Warning):
         return None
-    if ti is None:
-        cols, texts = np.ascontiguousarray(rows.T), None
-    else:
-        cols = [np.ascontiguousarray(rows[f]) for f in rows.dtype.names[:-1]]
-        texts = rows["text"].tolist()
+    cols = [np.ascontiguousarray(rows[f]) for f, _ in dtype if f != "text"]
+    texts = rows["text"].tolist() if ti is not None else None
     if not len(rows) or not all(np.isfinite(c).all() for c in cols) \
             or any((w < 0).any() for w in cols[2:]):
         return None

@@ -59,22 +59,18 @@ def tokenize(text: str) -> list[str]:
 
 
 def _count_tokens(texts) -> Counter:
-    # words never span texts, so one pass over each ~1 MiB of joined texts
-    # counts as summing per-text tokenize() calls does; short words and
-    # stopwords are dropped from the distinct words only
+    # "\n" separates words, so counting the joined texts in slices of about
+    # 1 MiB, each cut at a "\n", counts as summing per-text tokenize() calls
+    # does, with a word list bounded by the slice; short words and stopwords
+    # are dropped from the distinct words only
+    text = "\n".join(filter(None, texts))
     counts: Counter = Counter()
-    chunk: list[str] = []
-    size = 0
-    for t in texts:
-        if not t:
-            continue
-        chunk.append(t)
-        size += len(t)
-        if size > 1 << 20:
-            counts.update(_words("\n".join(chunk)))
-            chunk, size = [], 0
-    if chunk:
-        counts.update(_words("\n".join(chunk)))
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + (1 << 20))
+        stop = len(text) if stop < 0 else stop
+        counts.update(_words(text[start:stop]))
+        start = stop + 1
     for word in [w for w in counts if len(w) < _MIN_TOKEN_LEN or w in STOPWORDS]:
         del counts[word]
     return counts

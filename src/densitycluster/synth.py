@@ -25,12 +25,10 @@ class GaussianMixture:
         return int(self.centers.shape[0])
 
 
-def random_mixture(size: float, k: int, rng: np.random.Generator,
-                   sigma_range: tuple[float, float] = (0.02, 0.05),
-                   margin: float = 0.1) -> GaussianMixture:
-    """k components inside a [0, size]^2 box, sigmas proportional to size."""
-    centers = rng.uniform(margin * size, (1 - margin) * size, size=(k, 2))
-    sigmas = rng.uniform(sigma_range[0] * size, sigma_range[1] * size, size=k)
+def random_mixture(size: float, k: int, rng: np.random.Generator) -> GaussianMixture:
+    """k components inside [0.1 size, 0.9 size]^2, sigmas 0.02-0.05 of size."""
+    centers = rng.uniform(0.1 * size, 0.9 * size, size=(k, 2))
+    sigmas = rng.uniform(0.02 * size, 0.05 * size, size=k)
     weights = rng.uniform(0.5, 1.5, size=k)
     return GaussianMixture(centers, sigmas, weights / weights.sum())
 
@@ -88,15 +86,13 @@ def mixture_density(mix: GaussianMixture, viewport: Viewport,
     return DensityMap(viewport, out)
 
 
-def bench_run(sizes, repeats: int = 3, seed: int = 0, n_points: int = 100_000,
-              params: ClusterParams | None = None) -> list[dict]:
+def bench_run(sizes, repeats: int = 3, seed: int = 0,
+              n_points: int = 100_000) -> list[dict]:
     """Time KDE and clustering on seeded mixtures of ceil(size/10) Gaussians.
 
     Returns one row per size with median timings in milliseconds plus the
     resulting cluster count. Cluster counts are deterministic per seed.
     """
-    if params is None:
-        params = ClusterParams()
     # smooth imports scipy on first use; import it first so that kde_ms
     # times the KDE alone
     import scipy.ndimage  # noqa: F401
@@ -115,7 +111,7 @@ def bench_run(sizes, repeats: int = 3, seed: int = 0, n_points: int = 100_000,
             t0 = time.perf_counter()
             dm = density_for_grid(batch, size)
             t1 = time.perf_counter()
-            cmap, graph = cluster_density_map(dm, params)
+            cmap, graph = cluster_density_map(dm, ClusterParams())
             t2 = time.perf_counter()
             kde_ms.append((t1 - t0) * 1000.0)
             cluster_ms.append((t2 - t1) * 1000.0)

@@ -179,9 +179,12 @@ _VALID_ROWS = "1,2,1\n" * 200   # one bad row after these is under the 1% limit
      [1.0] * 200, [1.0] * 200, ["1"] * 200, 202),   # whitespace-only line
     ("x,y,w,t\n" + "1,2,1,a\n" * 200 + "3,4,1\n", {"weight_col": "w", "text_col": "t"},
      [1.0] * 200, [1.0] * 200, ["a"] * 200, 202),   # cut short of the text column
+    ("x,y\n1,2\n", {}, [1.0], [1.0], None, None),   # one row, no text
+    ("x,y,w\n" + _VALID_ROWS + " \t \n", {}, [1.0] * 200, [1.0] * 200, None, 202),
 ], ids=["quoted-delimiter", "float-only-syntax", "empty-weight", "lone-cr-header",
         "short-row", "short-text-row", "negative-weight", "non-finite",
-        "whitespace-only-line", "cut-before-text"])
+        "whitespace-only-line", "cut-before-text", "one-row-no-text",
+        "whitespace-only-line-no-text"])
 def test_load_csv_per_row_fallback_regressions(tmp_path, text, cols, xs, ws, texts,
                                                bad_row):
     path = tmp_path / "pts.csv"
@@ -311,9 +314,13 @@ _CONFIG = ["cluster", "--input", str(FIXTURE_CSV), "--output", "{out}",
     (_CONFIG, b'{"width": 32\xff}', 1, "not valid JSON"),
     (_CONFIG, _DEEP, 1, "not valid JSON"),
     (_CONFIG, _LONG_INT, 1, "not valid JSON"),
+    (["render", "--cluster-json", str(DATA / "two_gaussians_clusters.json"),
+      "--output", "{out}", "--underlay", "{f}"], b"\x40\x00\x00\x00\x40", 3,
+     "density dump: truncated header"),
 ], ids=["csv_non_utf8", "jsonl_non_utf8", "jsonl_deep_row", "jsonl_long_int_row",
         "render_non_utf8", "sql_non_utf8", "label_non_utf8", "sql_deep_doc",
-        "sql_long_int_doc", "config_non_utf8", "config_deep", "config_long_int"])
+        "sql_long_int_doc", "config_non_utf8", "config_deep", "config_long_int",
+        "underlay_short_header"])
 def test_cli_bad_input_bytes_exit_without_traceback(tmp_path, capsys, argv, data,
                                                     rc, message):
     bad = tmp_path / "input"
@@ -322,6 +329,26 @@ def test_cli_bad_input_bytes_exit_without_traceback(tmp_path, capsys, argv, data
     assert main(argv) == rc
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["label", "--input", str(FIXTURE_CSV), "--text-col", "text", "--top-k", "0",
+      "--cluster-json", str(DATA / "two_gaussians_clusters.json"), "--output", "{out}"],
+     "--top-k must be >= 1"),
+    (["cluster", "--input", str(FIXTURE_CSV)], "--output is required"),
+    (["label", "--input", str(FIXTURE_CSV), "--text-col", "text",
+      "--cluster-json", str(DATA / "two_gaussians_clusters.json")],
+     "--output is required"),
+    (["bench", "--sizes", ","], "--sizes must name at least one grid size"),
+    (["bench", "--sizes", "x"], "bad --sizes value: 'x'"),
+    (["bench", "--repeats", "0"], "--repeats must be >= 1"),
+], ids=["label_top_k_0", "cluster_no_output", "label_no_output", "bench_no_sizes",
+        "bench_bad_sizes", "bench_repeats_0"])
+def test_cli_usage_errors_exit_1(tmp_path, capsys, argv, message):
+    assert main([a.format(out=tmp_path / "out") for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_leaves_scipy_out():
@@ -421,8 +448,10 @@ def _mutate(doc, path, value):
     (("clusters", 0, "holes"), [[1.0, 2.0]]),      # holes not nested
     (("clusters", 0, "rects", 0, 2), math.nan),
     (("clusters", 1, "id"), 92),                   # duplicate id
+    (("space",), "polar"),
+    (("clusters", 0, "color"), -1),
 ], ids=["short_vertex", "str_color", "float_color", "str_id", "flat_holes",
-        "nan_rect", "duplicate_id"])
+        "nan_rect", "duplicate_id", "polar_space", "negative_color"])
 @pytest.mark.parametrize("command", ["render", "sql", "label"])
 def test_cli_malformed_cluster_fields_are_data_errors(tmp_path, command, path,
                                                       value):
@@ -703,6 +732,15 @@ def test_cli_render_underlay_and_mismatch(tmp_path, capsys):
                      "--underlay", str(dump)]) == 3
 
 
+def test_cli_cluster_warns_of_color_conflicts(tmp_path, capsys):
+    # 110 clusters kept apart by merge distance 0 cannot share one color
+    assert main(["cluster", "--input", str(FIXTURE_CSV), "--width", "128",
+                 "--height", "128", "--merge-distance", "0", "--palette", "1",
+                 "--output", str(tmp_path / "c.json")]) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: 195 adjacent cluster pair(s) share a color\n"
+
+
 def test_cli_render_one_path_per_cluster_distinct_adjacent_colors(tmp_path):
     # adjacent clusters: the 6 px pair kept apart with merge distance 0
     from densitycluster.clustering import ClusterParams, cluster_density_map
@@ -880,6 +918,9 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     ("merge_distance", [1], 1),
     ("bandwidth", "x", 1),
     ("width", True, 1),
+    ("width", 64.7, 1),            # an int setting takes no float, as its flag
+    ("connectivity", 8.0, 1),
+    ("format", "xml", 1),
     ("input", 5, 1),               # not a file name
     ("width", None, 0),            # null means the key is absent
 ])

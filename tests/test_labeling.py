@@ -73,20 +73,35 @@ def test_tokenize_odd_code_points():
     assert tokenize("ab\ud800cd\x00ef\u2028gh") == ["ab", "cd", "ef", "gh"]
 
 
-def test_count_tokens_over_chunks_equals_per_text_counts():
-    # more than 1 MiB of text, so the counts span several joined chunks, with
-    # words at both ends of each text and empty texts mixed in
-    texts = []
-    for i in range(80_000):
-        texts.append(None if i % 11 == 0 else "" if i % 13 == 0 else
-                     f"w{i % 97} The Alpha{i % 13} x \u212a{i % 7} caf\u00e9 notes end{i % 5}")
-    assert sum(len(t) for t in texts if t) > 2 << 20
+def _assert_counts_per_text(texts):
     want = Counter()
     for t in texts:
         if t:
             want.update(tokenize(t))
     got = _count_tokens(texts)
     assert got == want and list(got.items()) == list(want.items())
+
+
+def test_count_tokens_over_chunks_equals_per_text_counts():
+    # more than 1 MiB of text, so the counts span several joined slices, with
+    # words at both ends of each text and empty texts mixed in
+    texts = []
+    for i in range(80_000):
+        texts.append(None if i % 11 == 0 else "" if i % 13 == 0 else
+                     f"w{i % 97} The Alpha{i % 13} x \u212a{i % 7} caf\u00e9 notes end{i % 5}")
+    assert sum(len(t) for t in texts if t) > 2 << 20
+    _assert_counts_per_text(texts)
+    # a text's own "\n" right at, just before and just after the 1 MiB cut
+    head = "ab " * ((1 << 20) // 3)
+    for pad in range(len(head) - 1, len(head) + 4):
+        text = (head + "z" * (1 << 20))[:pad] + "\nfoxtrot qq golf\n\nhotel"
+        assert "\n" in text[(1 << 20) - 2:(1 << 20) + 3]
+        _assert_counts_per_text([None, text, "", "india foxtrot", None, "juliet"])
+    # one text longer than 1 MiB, without a "\n", among short ones
+    _assert_counts_per_text(["kilo lima", "mike " * 300_000 + "november", "", "oscar",
+                             None, "papa\nquebec"])
+    _assert_counts_per_text([None, "", None])
+    _assert_counts_per_text([])
 
 
 def test_stopword_list_size_documented():
