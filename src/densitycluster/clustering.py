@@ -77,8 +77,9 @@ class ClusterMap:
     """Per-pixel cluster identifiers, -1 for background.
 
     peak_hint caches the linear pixel index of each cluster's peak, indexed by
-    cluster id (-1 for dead ids). It is an optimization carried along the
-    pipeline; maps built by hand work without it.
+    cluster id. Only initial_clusters sets it, for build_neighborhood_graph
+    to read; the maps of union_clusters, truncate_clusters and maps built by
+    hand have none.
 
     ids must not be modified after construction: runs, boundary, rects and
     rings are computed from them once and cached.
@@ -387,10 +388,29 @@ class ClusterEdges:
                    np.empty((0, 2), dtype=np.int64))
 
 
-@dataclass
+@dataclass(eq=False)
 class ClusterGraph:
-    nodes: dict[int, ClusterNode] = field(default_factory=dict)
-    edges: ClusterEdges = field(default_factory=ClusterEdges.empty)
+    """Clusters as numpy columns indexed by id, and their shared boundaries.
+
+    The columns cover every id of the map the graph was built from, and at
+    least one. peak is the peak pixel's linear index y * width + x, or -1
+    where an id is no node; peak_density and area hold 0 there.
+    """
+
+    width: int
+    peak: np.ndarray
+    peak_density: np.ndarray
+    area: np.ndarray
+    edges: ClusterEdges
+
+    @cached_property
+    def nodes(self) -> dict[int, ClusterNode]:
+        """{id: ClusterNode} of every node, in ascending id order."""
+        ids = np.flatnonzero(self.peak >= 0)
+        y, x = np.divmod(self.peak[ids], self.width)
+        return {cid: ClusterNode(cid, (px, py), pd, a) for cid, px, py, pd, a in zip(
+            ids.tolist(), x.tolist(), y.tolist(), self.peak_density[ids].tolist(),
+            self.area[ids].tolist())}
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {cid: [] for cid in self.nodes}
@@ -398,35 +418,6 @@ class ClusterGraph:
             adj[a].append(b)
             adj[b].append(a)
         return adj
-
-
-def _nodes(ids: np.ndarray, peak_lin: np.ndarray, peak_density: np.ndarray,
-           area: np.ndarray, w: int) -> dict[int, ClusterNode]:
-    """{id: ClusterNode} from per-node columns, in the order of ids."""
-    y, x = np.divmod(peak_lin, w)
-    return {cid: ClusterNode(cid, (px, py), pd, a) for cid, px, py, pd, a in zip(
-        ids.tolist(), x.tolist(), y.tolist(), peak_density.tolist(), area.tolist())}
-
-
-def _node_columns(nodes: dict[int, ClusterNode], cmap: ClusterMap
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(is_node, peak_lin, peak_density, area) of the nodes, indexed by id
-    over every id of the nodes and of cmap's peak_hint, or of its ids when
-    it has no hint; ids that are no node hold False, -1, 0 and 0."""
-    ids = np.fromiter(nodes, np.int64, len(nodes))
-    hint = cmap.peak_hint
-    n = max(hint.shape[0] if hint is not None else int(cmap.ids.max(initial=-1)) + 1,
-            int(ids.max(initial=-1)) + 1, 1)
-    w = cmap.width
-    is_node = np.zeros(n, dtype=bool)
-    is_node[ids] = True
-    peak_lin = np.full(n, -1, dtype=np.int64)
-    peak_lin[ids] = [nd.peak_xy[0] + nd.peak_xy[1] * w for nd in nodes.values()]
-    peak_density = np.zeros(n)
-    peak_density[ids] = [nd.peak_density for nd in nodes.values()]
-    area = np.zeros(n, dtype=np.int64)
-    area[ids] = [nd.area_px for nd in nodes.values()]
-    return is_node, peak_lin, peak_density, area
 
 
 def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
@@ -549,17 +540,16 @@ def build_neighborhood_graph(density: DensityMap, cmap: ClusterMap,
     # ties, unless a peak_hint gives one for every id
     flat_ids = cmap.ids.ravel()
     fg = np.flatnonzero(flat_ids >= 0)
-    areas = np.bincount(flat_ids[fg])
+    area = np.bincount(flat_ids[fg], minlength=1)
     hint = cmap.peak_hint
-    if hint is not None and hint.shape[0] == areas.size:
-        peak_lin = hint.astype(np.int64)
+    if hint is not None and hint.shape[0] == area.size:
+        peak = hint.astype(np.int64)
     else:
-        _, peak_lin = _group_min(flat_ids[fg], areas.size, -d.ravel()[fg], fg)
-    live = np.flatnonzero(areas)
-    nodes = _nodes(live, peak_lin[live], d.ravel()[peak_lin[live]], areas[live],
-                   cmap.width)
-    edges = _boundary_edges(d, cmap.ids, peak_lin, connectivity)
-    return ClusterGraph(nodes, edges)
+        _, peak = _group_min(flat_ids[fg], area.size, -d.ravel()[fg], fg)
+    peak = np.where(area > 0, peak, -1)
+    peak_density = np.where(area > 0, d.ravel()[peak], 0.0)
+    edges = _boundary_edges(d, cmap.ids, peak, connectivity)
+    return ClusterGraph(cmap.width, peak, peak_density, area, edges)
 
 
 def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
@@ -573,9 +563,8 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     density, and re-measure distances against the surviving peak using each
     edge's retained nearest boundary pixels.
     """
-    w = cmap.width
-    is_node, peak_lin, peak_density, area = _node_columns(graph.nodes, cmap)
-    peaks, densities = peak_lin.tolist(), peak_density.tolist()
+    w = graph.width
+    peaks, densities = graph.peak.tolist(), graph.peak_density.tolist()
     # the edge columns as lists; a merge kills rows and appends new ones
     e = graph.edges
     ea, eb = e.a.tolist(), e.b.tolist()
@@ -583,7 +572,8 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     dist, pix = e.dist.tolist(), e.pixel.tolist()
     alive = [True] * len(ea)
     # id -> {neighbor id: row of the pair}
-    adj: dict[int, dict[int, int]] = {cid: {} for cid in graph.nodes}
+    adj: dict[int, dict[int, int]] = {
+        cid: {} for cid in np.flatnonzero(graph.peak >= 0).tolist()}
     for r, (a, b) in enumerate(zip(ea, eb)):
         adj[a][b] = adj[b][a] = r
 
@@ -596,7 +586,7 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     heapq.heapify(heap)
 
     # each id's parent in the merge forest, whose roots are the survivors
-    lut = np.arange(is_node.size, dtype=np.int32)
+    lut = np.arange(graph.peak.size, dtype=np.int32)
     while heap:
         score, a, b, r = heapq.heappop(heap)
         if not alive[r] or score != min(dist[r]):
@@ -649,12 +639,10 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     lut = _roots(lut)
 
     # a survivor takes the area of every node merged into it
-    total = np.zeros_like(area)
-    np.add.at(total, lut, area)
-    out = np.flatnonzero(is_node & (lut == np.arange(lut.size)))
-    hint = np.full(is_node.size, -1, dtype=np.int64)
-    hint[out] = peak_lin[out]
-    out_nodes = _nodes(out, peak_lin[out], peak_density[out], total[out], w)
+    area = np.bincount(lut, weights=graph.area, minlength=lut.size).astype(np.int64)
+    out = lut == np.arange(lut.size)
+    peak = np.where(out, graph.peak, -1)
+    peak_density = np.where(out, graph.peak_density, 0.0)
     live = np.flatnonzero(alive)
     a_col = np.array(ea, dtype=np.int64)
     b_col = np.array(eb, dtype=np.int64)
@@ -664,8 +652,8 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
         np.array(maxd, dtype=np.float64)[rows],
         np.array(dist, dtype=np.float64).reshape(-1, 2)[rows],
         np.array(pix, dtype=np.int64).reshape(-1, 2)[rows])
-    new_cmap = ClusterMap(np.where(cmap.ids >= 0, lut[cmap.ids], -1), peak_hint=hint)
-    return ClusterGraph(out_nodes, out_edges), new_cmap
+    new_cmap = ClusterMap(np.where(cmap.ids >= 0, lut[cmap.ids], -1))
+    return ClusterGraph(w, peak, peak_density, area, out_edges), new_cmap
 
 
 def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph,
@@ -683,12 +671,13 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
         raise DataError("cluster map shape does not match density")
     h, w = d.shape
 
-    is_node, peak_lin, peak_density, _ = _node_columns(graph.nodes, cmap)
-    n_ids = is_node.size
-    # a killed cluster's threshold is +inf, which wipes its region
-    killed = ~is_node | (peak_density <= params.min_peak_density)
-    peak_lin[killed] = -1
-    thr = np.where(killed, np.inf, params.truncation_ratio * peak_density)
+    n_ids = graph.peak.size
+    # a killed cluster's threshold is +inf, which wipes its region; ids that
+    # are no node have density 0, so they are killed too
+    killed = graph.peak_density <= params.min_peak_density
+    peak = np.where(killed, -1, graph.peak)
+    peak_density = np.where(killed, 0.0, graph.peak_density)
+    thr = np.where(killed, np.inf, params.truncation_ratio * graph.peak_density)
 
     # background stays -1 whatever threshold its -1 picks
     new2d = np.where(d >= thr[ids2], ids2, -1)
@@ -713,8 +702,8 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
     root = _components(val.shape[0], above, below)
 
     # the run holding each surviving peak
-    live = np.flatnonzero(peak_lin >= 0)
-    py, px = np.divmod(peak_lin[live], w)
+    live = np.flatnonzero(peak >= 0)
+    py, px = np.divmod(peak[live], w)
     at = np.searchsorted(line * base + x0, (live * (h + 1) + py) * base + px,
                          side="right") - 1
     found = at >= 0
@@ -728,16 +717,11 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
     # clear fragments that are not the peak's component
     kept = root == keep_root[val]
     new2d.flat[run_pixels(row[~kept], x0[~kept], x1[~kept], w)] = -1
-    areas = np.bincount(val[kept], weights=x1[kept] - x0[kept], minlength=n_ids)
-    out = np.flatnonzero((peak_lin >= 0) & (areas > 0))
-    hint = np.full(n_ids, -1, dtype=np.int64)
-    hint[out] = peak_lin[out]
-    out_nodes = _nodes(out, peak_lin[out], peak_density[out],
-                       areas[out].astype(np.int64), w)
-
-    out_edges = _boundary_edges(d, new2d, peak_lin, params.connectivity)
-    new_cmap = ClusterMap(new2d, peak_hint=hint)
-    return ClusterGraph(out_nodes, out_edges), new_cmap
+    # every surviving peak's run is kept, so only killed ids have no area
+    area = np.bincount(val[kept], weights=x1[kept] - x0[kept],
+                       minlength=n_ids).astype(np.int64)
+    out_edges = _boundary_edges(d, new2d, peak, params.connectivity)
+    return ClusterGraph(w, peak, peak_density, area, out_edges), ClusterMap(new2d)
 
 
 def cluster_density_map(density: DensityMap,

@@ -133,10 +133,13 @@ def auto_viewport(points: PointBatch, width: int, height: int,
     """Bounding box of the points, expanded by padding_fraction per side.
 
     An axis where every coordinate coincides is widened symmetrically by
-    0.5 data units instead.
+    0.5 data units instead. A box that makes no usable grid (infinite
+    extents, or pixels too narrow for their coordinates) is a DataError.
     """
     if width < 1 or height < 1:
         raise ParameterError("grid dimensions must be >= 1")
+    # as in bin_points, so that such a grid fails as too large, not as too fine
+    _check_addressable(width * height, f"a {width}x{height} grid")
     if not (0 <= padding_fraction < 1):
         raise ParameterError("padding_fraction must be in [0, 1)")
     finite = np.isfinite(points.xs) & np.isfinite(points.ys)
@@ -152,7 +155,17 @@ def auto_viewport(points: PointBatch, width: int, height: int,
 
     x_min, x_max = _axis(float(xs.min()), float(xs.max()))
     y_min, y_max = _axis(float(ys.min()), float(ys.max()))
-    return Viewport(x_min, x_max, y_min, y_max, width, height)
+    try:
+        vp = Viewport(x_min, x_max, y_min, y_max, width, height)
+    except ParameterError as exc:  # the grid is valid, so the box is at fault
+        raise DataError(str(exc)) from None
+    # pixel edges lo + p*step must strictly increase: with M = max(|lo|, |hi|),
+    # rounding p*step (at most about 2M) and the sum moves an edge by at most
+    # 3 ulp(M), so a step above 6 ulp(M) suffices; 8 leaves a margin
+    for lo, hi, step, axis in ((x_min, x_max, vp.sx, "x"), (y_min, y_max, vp.sy, "y")):
+        if not step > 8 * math.ulp(max(abs(lo), abs(hi))):
+            raise DataError(f"the {axis} range [{lo}, {hi}] is too narrow for the grid")
+    return vp
 
 
 def bin_points(points: PointBatch, viewport: Viewport) -> DensityMap:

@@ -103,7 +103,8 @@ def _parse_values(x, y, wt, text):
     try:
         fx, fy = float(x), float(y)
         fw = 1.0 if wt is None or wt == "" else float(wt)
-    except (TypeError, ValueError):
+    # OverflowError: a JSON integer too large for a float
+    except (TypeError, ValueError, OverflowError):
         return None
     if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fw)) or fw < 0:
         return None
@@ -432,7 +433,7 @@ def read_cluster_document(path) -> ClusterDocument:
         raise DataError(f"cluster JSON: not valid JSON ({exc})") from exc
     vp = _expect(doc, "viewport", "", dict)
     for k in ("x_min", "x_max", "y_min", "y_max", "width", "height"):
-        _expect(vp, k, "viewport.")
+        _expect(vp, k, "viewport.", int if k in ("width", "height") else None)
     try:
         viewport = Viewport.from_dict(vp)
     except (ParameterError, TypeError, ValueError, OverflowError) as exc:

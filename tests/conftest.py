@@ -1,9 +1,12 @@
 """Shared fixtures and brute-force helpers for the test suite."""
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from densitycluster.clustering import (NEIGHBOR_OFFSETS, ClusterMap,
-                                       ClusterParams)
+                                       ClusterNode, ClusterParams)
 from densitycluster.density import (DensityMap, PointBatch, Viewport,
                                     bin_points, smooth)
 from densitycluster.synth import (GaussianMixture, mixture_density,
@@ -143,6 +146,75 @@ def brute_boundary_stats(density: DensityMap, cmap: ClusterMap,
                     dists[cid] = min(dists.get(cid, (np.inf, 0)), near)
                 edges[key] = (cnt, mxd, dists)
     return edges
+
+
+def naive_union(graph, merge_distance: float):
+    """Slow greedy merge; the oracle for union_clusters.
+
+    Each step rescans every row for the smallest (score, a, b) with score,
+    the row's smaller distance, at most merge_distance. The taller peak
+    survives (ties: smaller id) and takes the gone cluster's area. Each
+    other row of the gone cluster folds into the survivor's row with that
+    neighbour: counts add, the larger max density stays, and each side keeps
+    its nearest (distance, pixel), the gone side's pixel re-measured from the
+    surviving peak. Returns the nodes, {(a, b): [count, max_density, dist,
+    pixel]} sorted by (a, b), and {gone id: surviving id} of every merge.
+    """
+    w = graph.width
+    nodes = {cid: replace(node) for cid, node in graph.nodes.items()}
+    e = graph.edges
+    rows = {(a, b): [n, m, d, p] for a, b, n, m, d, p in zip(
+        e.a.tolist(), e.b.tolist(), e.count.tolist(), e.max_density.tolist(),
+        e.dist.tolist(), e.pixel.tolist())}
+    into = {}
+    while True:
+        ready = [(min(r[2]), a, b) for (a, b), r in rows.items()
+                 if min(r[2]) <= merge_distance]
+        if not ready:
+            return nodes, dict(sorted(rows.items())), into
+        _, a, b = min(ready)
+        surv, gone = sorted((a, b), key=lambda c: (-nodes[c].peak_density, c))
+        del rows[a, b]
+        nodes[surv].area_px += nodes.pop(gone).area_px
+        into[gone] = surv
+        sx, sy = nodes[surv].peak_xy
+        for key in sorted(k for k in rows if gone in k):
+            count, maxd, dist, pix = rows.pop(key)
+            g = key.index(gone)
+            other = key[1 - g]
+            near = {surv: (math.hypot(pix[g] % w - sx, pix[g] // w - sy), pix[g]),
+                    other: (dist[1 - g], pix[1 - g])}
+            new = (min(surv, other), max(surv, other))
+            row = rows.setdefault(new, [0, -math.inf, [math.inf, math.inf], [0, 0]])
+            row[0] += count
+            row[1] = max(row[1], maxd)
+            for side, cid in enumerate(new):
+                if near[cid] < (row[2][side], row[3][side]):
+                    row[2][side], row[3][side] = near[cid]
+
+
+def typed_nodes(nodes: dict) -> list:
+    """A graph's nodes with the type of every field, for exact comparison."""
+    return [(cid, type(cid), node, type(node.id), tuple(map(type, node.peak_xy)),
+             type(node.peak_density), type(node.area_px))
+            for cid, node in nodes.items()]
+
+
+def assert_columns_match_nodes(graph) -> None:
+    """graph.nodes holds exactly the ids whose peak column is set, in
+    ascending order, with the column values; other ids hold 0."""
+    assert graph.peak.size >= 1
+    assert graph.peak.dtype == graph.area.dtype == np.int64
+    assert graph.peak_density.dtype == np.float64
+    expect = {}
+    for cid, (peak, density, area) in enumerate(zip(
+            graph.peak.tolist(), graph.peak_density.tolist(), graph.area.tolist())):
+        if peak < 0:
+            assert density == 0 and area == 0
+        else:
+            expect[cid] = ClusterNode(cid, (peak % graph.width, peak // graph.width),
+                                      density, area)
+    assert typed_nodes(graph.nodes) == typed_nodes(expect)
 
 
 def region_pixels(cmap: ClusterMap, cluster_id: int) -> set:

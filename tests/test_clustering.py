@@ -16,8 +16,9 @@ from densitycluster.density import DensityMap, Viewport
 from densitycluster.errors import DataError, ParameterError
 from densitycluster.oracles import flood_fill_components, steepest_ascent_oracle
 
-from conftest import (brute_boundary_stats, dumbbell, gaussian_map, noisy_map,
-                      three_blob, two_gauss_far, two_gauss_near)
+from conftest import (assert_columns_match_nodes, brute_boundary_stats, dumbbell,
+                      gaussian_map, naive_union, noisy_map, three_blob,
+                      two_gauss_far, two_gauss_near, typed_nodes)
 
 
 def _dm(vals) -> DensityMap:
@@ -330,6 +331,42 @@ def test_union_threshold_monotonicity():
         counts.append(len(g2.nodes))
     assert counts == sorted(counts, reverse=True)
     assert counts[-1] >= 1
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 32),
+       quantize=st.sampled_from([0, 4]), bandwidth=st.sampled_from([0.0, 1.0]),
+       conn=st.sampled_from([4, 8]), hinted=st.booleans())
+def test_union_matches_naive_reference(seed, size, quantize, bandwidth, conn,
+                                       hinted):
+    dm = noisy_map(seed, size, zero_frac=0.2, quantize=quantize, bandwidth=bandwidth)
+    cm = initial_clusters(dm, conn)
+    if not hinted:
+        cm = ClusterMap(cm.ids.copy())
+    graph = build_neighborhood_graph(dm, cm, conn)
+    assert_columns_match_nodes(graph)
+    for md in (0.0, 1.5, 4.0):
+        params = ClusterParams(merge_distance_px=md, connectivity=conn)
+        g2, cm2 = union_clusters(graph, cm, params)
+        assert_columns_match_nodes(g2)
+        assert cm2.peak_hint is None
+        nodes, rows, into = naive_union(graph, md)
+        assert typed_nodes(g2.nodes) == typed_nodes(nodes)
+        e = g2.edges
+        assert _pairs(e) == list(rows)
+        assert [e.a.dtype, e.b.dtype, e.count.dtype, e.max_density.dtype,
+                e.dist.dtype, e.pixel.dtype] == [np.int64] * 3 + [np.float64] * 2 + [np.int64]
+        assert list(zip(e.count.tolist(), e.max_density.tolist(), e.dist.tolist(),
+                        e.pixel.tolist())) == [tuple(r) for r in rows.values()]
+        relabel = list(range(graph.peak.size))
+        for cid in range(len(relabel)):
+            while relabel[cid] in into:
+                relabel[cid] = into[relabel[cid]]
+        expect = np.where(cm.ids >= 0, np.array(relabel)[cm.ids], -1)
+        assert np.array_equal(cm2.ids, expect)
+        g3, cm3 = truncate_clusters(dm, cm2, g2, params)
+        assert_columns_match_nodes(g3)
+        assert cm3.peak_hint is None
 
 
 # ---------------------------------------------------------------- truncate

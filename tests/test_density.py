@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,23 @@ def test_auto_viewport_empty_is_error():
         auto_viewport(_batch([], []), 8, 8)
     with pytest.raises(ParameterError):
         auto_viewport(_batch([0], [0]), 8, 8, padding_fraction=1.0)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_auto_viewport_pixel_step_bound(axis):
+    # on [1, 1 + k ulp(1)] over 4 pixels the step is exactly k/4 ulp(1); the
+    # bound asks for more than 8 ulp of the larger extent
+    def viewport(k):
+        narrow, wide = [1.0, 1.0 + k * math.ulp(1.0)], [0.0, 10.0]
+        xs, ys = (narrow, wide) if axis == "x" else (wide, narrow)
+        return auto_viewport(_batch(xs, ys), 4, 4, 0.0)
+
+    vp = viewport(33)
+    edges = [vp.pixel_to_data_x(p) if axis == "x" else vp.pixel_to_data_y(p)
+             for p in range(5)]
+    assert edges == sorted(set(edges))
+    with pytest.raises(DataError, match="too narrow"):
+        viewport(32)
 
 
 def test_viewport_validation():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densitycluster.clustering import (ClusterEdges, ClusterGraph, ClusterMap,
-                                       ClusterNode, cluster_density_map)
+                                       cluster_density_map)
 from densitycluster.density import Viewport
 from densitycluster.errors import (ClusterNotFoundError, DataError,
                                    ParameterError)
@@ -252,12 +252,13 @@ def test_to_data_space_round_trip():
 # ------------------------------------------------------------------ coloring
 
 def _graph_with_edges(n, pairs) -> ClusterGraph:
-    nodes = {i: ClusterNode(i, (0, 0), 1.0, 1) for i in range(n)}
+    # n nodes, each of one pixel at (0, 0) with density 1
     m = len(pairs)
     a, b = np.array(pairs, dtype=np.int64).reshape(m, 2).T
     edges = ClusterEdges(a, b, np.ones(m, dtype=np.int64), np.ones(m),
                          np.ones((m, 2)), np.zeros((m, 2), dtype=np.int64))
-    return ClusterGraph(nodes, edges)
+    return ClusterGraph(1, np.zeros(n, dtype=np.int64), np.ones(n),
+                        np.ones(n, dtype=np.int64), edges)
 
 
 def test_color_adjacent_distinct():

@@ -82,7 +82,11 @@ def test_load_jsonl_bad_lines(tmp_path):
     p = tmp_path / "pts.jsonl"
     for text, cols in (('{"x": 1, "y": 2}\nnot json\n{"y": 3}\n', {}),
                        # bools are not numbers, though float(True) is 1.0
-                       ('{"x": true, "y": 2, "w": false}\n', {"weight_col": "w"})):
+                       ('{"x": true, "y": 2, "w": false}\n', {"weight_col": "w"}),
+                       # integers too large for a float
+                       ('{"x": 1, "y": 2}\n{"x": 1' + "0" * 400 + ', "y": 2}\n', {}),
+                       ('{"x": 1, "y": 2, "w": 1' + "0" * 400 + '}\n',
+                        {"weight_col": "w"})):
         p.write_text(text)
         with pytest.raises(DataError):
             load_points(p, "jsonl", **cols)
@@ -302,6 +306,9 @@ _CONFIG = ["cluster", "--input", str(FIXTURE_CSV), "--output", "{out}",
      "1 of 2 rows malformed (first at row 2)"),
     (["cluster", "--format", "jsonl", *_POINTS], b'{"x":1,"y":2}\n' + _LONG_INT,
      3, "1 of 2 rows malformed (first at row 2)"),
+    (["cluster", "--format", "jsonl", *_POINTS],
+     b'{"x":1,"y":2}\n{"x":1' + b"0" * 400 + b',"y":2}\n', 3,
+     "1 of 2 rows malformed (first at row 2)"),
     (["render", "--output", "{out}", "--cluster-json", "{f}"], _NON_UTF8_DOC, 3,
      "not valid JSON"),
     (["sql", "--cluster-id", "92", "--cluster-json", "{f}"], _NON_UTF8_DOC, 3,
@@ -318,7 +325,7 @@ _CONFIG = ["cluster", "--input", str(FIXTURE_CSV), "--output", "{out}",
       "--output", "{out}", "--underlay", "{f}"], b"\x40\x00\x00\x00\x40", 3,
      "density dump: truncated header"),
 ], ids=["csv_non_utf8", "jsonl_non_utf8", "jsonl_deep_row", "jsonl_long_int_row",
-        "render_non_utf8", "sql_non_utf8", "label_non_utf8", "sql_deep_doc",
+        "jsonl_huge_int_row", "render_non_utf8", "sql_non_utf8", "label_non_utf8", "sql_deep_doc",
         "sql_long_int_doc", "config_non_utf8", "config_deep", "config_long_int",
         "underlay_short_header"])
 def test_cli_bad_input_bytes_exit_without_traceback(tmp_path, capsys, argv, data,
@@ -450,8 +457,12 @@ def _mutate(doc, path, value):
     (("clusters", 1, "id"), 92),                   # duplicate id
     (("space",), "polar"),
     (("clusters", 0, "color"), -1),
+    (("viewport", "width"), 512.7),
+    (("viewport", "width"), True),
+    (("viewport", "width"), "64"),
 ], ids=["short_vertex", "str_color", "float_color", "str_id", "flat_holes",
-        "nan_rect", "duplicate_id", "polar_space", "negative_color"])
+        "nan_rect", "duplicate_id", "polar_space", "negative_color",
+        "viewport_width_float", "viewport_width_bool", "viewport_width_str"])
 @pytest.mark.parametrize("command", ["render", "sql", "label"])
 def test_cli_malformed_cluster_fields_are_data_errors(tmp_path, command, path,
                                                       value):
@@ -547,6 +558,30 @@ def test_cli_cluster_unallocatable_grid_is_data_error(tmp_path, capsys):
                      "--output", str(tmp_path / "c.json")]) == 3, flags
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
+def _narrow_x_rows():
+    # 2,000 x values within 1e-5 of 1e10, where a float's step is about 2e-6
+    rng = np.random.default_rng(0)
+    return list(zip((1e10 + rng.uniform(0, 1e-5, 2000)).tolist(),
+                    rng.uniform(0, 1, 2000).tolist()))
+
+
+@pytest.mark.parametrize("rows, size, message", [
+    ([(-1e308, 0), (1e308, 1), (0, 0.5)], 64, "must be finite"),
+    ([(0, 0), (5e-324, 1)], 64, "too narrow"),
+    (_narrow_x_rows(), 1000, "too narrow"),
+], ids=["extents_overflow", "subnormal_x_range", "narrow_x_at_1e10"])
+def test_cli_points_box_without_a_usable_grid_is_data_error(tmp_path, capsys, rows,
+                                                            size, message):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+    argv = ["cluster", "--input", str(pts), "--output", str(tmp_path / "c.json"),
+            "--width", str(size), "--height", "64"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_cli_label_huge_viewport_reads_rects_only(tmp_path):
