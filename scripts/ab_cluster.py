@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Time the `cluster` command of two source trees on the many-cluster map.
+
+Usage, from the repository root:
+
+    python3 scripts/ab_cluster.py --base /path/to/other/checkout --pairs 5
+
+The workload is a uniform map whose clusters number in the tens of
+thousands: 200k points drawn uniformly from [0, 1000)^2 with `--seed`,
+clustered at 1000x1000 with `--bandwidth 1 --merge-distance 0` and the
+automatic viewport. Its CSV is written once per seed into `.ab_work/` at the
+repository root (git-ignored).
+
+Each run is a fresh interpreter that imports `densitycluster` from one tree's
+`src/`, runs `cluster` in-process once to warm up, then once timed, with
+every layer function below wrapped to sum its calls' wall time (inclusive
+of the layers it calls). Pairs alternate which tree runs first. The last
+line printed is JSON: per-layer medians in ms for each tree, how many pairs
+the change (`--change`, default this checkout) was faster in, and the
+cluster count of each tree's document. `output_ms` sums the layers that
+turn the cluster map into the document: shapes, `to_data_space`,
+`cluster_document` and `write_json`.
+"""
+from __future__ import annotations
+
+import argparse
+import functools
+import gc
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+POINTS, GRID = 200_000, 1000
+FLAGS = ["--width", str(GRID), "--height", str(GRID), "--bandwidth", "1",
+         "--merge-distance", "0"]
+LAYERS = {
+    "io": ("load_points", "cluster_document", "write_json"),
+    "density": ("auto_viewport", "bin_points", "smooth"),
+    "clustering": ("initial_clusters", "build_neighborhood_graph",
+                   "union_clusters", "truncate_clusters"),
+    "geometry": ("shape_for_cluster", "to_data_space", "color_clusters",
+                 "count_color_conflicts"),
+}
+OUTPUT = ("geometry.shape_for_cluster", "geometry.to_data_space",
+          "io.cluster_document", "io.write_json")
+
+
+def write_points(seed: int, path: Path) -> None:
+    import numpy as np
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.uniform(0.0, float(GRID), (2, POINTS)).tolist()
+    path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+
+
+def child(src: str, csv: str, out: str) -> None:
+    """One tree's timed run; prints {layer: ms} and the cluster count."""
+    sys.path.insert(0, src)
+    import densitycluster.cli as cli
+    totals = dict.fromkeys((f"{m}.{f}" for m, fs in LAYERS.items() for f in fs), 0.0)
+
+    def timed(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                totals[name] += time.perf_counter() - t0
+        return wrapper
+
+    wrapped = {}
+    for mod, funcs in LAYERS.items():
+        for func in funcs:
+            fn = getattr(sys.modules[f"densitycluster.{mod}"], func, None)
+            if fn is not None:
+                wrapped[id(fn)] = timed(f"{mod}.{func}", fn)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("densitycluster."):
+            namespace = vars(module)
+            for key, val in list(namespace.items()):
+                if id(val) in wrapped:
+                    namespace[key] = wrapped[id(val)]
+    argv = ["cluster", "--input", csv, "--output", out, *FLAGS]
+    with open(os.devnull, "w") as sink:
+        stdout, sys.stdout = sys.stdout, sink
+        try:
+            cli.main(argv)  # warm-up
+            for key in totals:
+                totals[key] = 0.0
+            gc.collect()
+            t0 = time.perf_counter()
+            rc = cli.main(argv)
+            totals["cluster_cmd"] = time.perf_counter() - t0
+        finally:
+            sys.stdout = stdout
+    if rc != 0:
+        raise SystemExit(f"cluster exited {rc}")
+    with open(out, encoding="utf-8") as fh:
+        clusters = fh.read().count('{"id":')
+    ms = {k: v * 1000.0 for k, v in totals.items()}
+    ms["output_ms"] = sum(ms[k] for k in OUTPUT)
+    print(json.dumps({"ms": ms, "clusters": clusters}))
+
+
+def run(tree: Path, csv: Path, out: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child", str(tree / "src"), str(csv), str(out)],
+        check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", type=Path, help="the other source tree (repository root)")
+    ap.add_argument("--change", type=Path, default=ROOT,
+                    help="the changed tree (default: this checkout)")
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--child", nargs=3, metavar=("SRC", "CSV", "OUT"),
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        child(*args.child)
+        return 0
+    if args.base is None:
+        ap.error("--base is required")
+
+    work = ROOT / ".ab_work"
+    work.mkdir(exist_ok=True)
+    csv = work / f"uniform-{POINTS}-{GRID}-seed{args.seed}.csv"
+    if not csv.is_file():
+        write_points(args.seed, csv)
+    runs = {"base": [], "change": []}
+    for i in range(args.pairs):
+        sides = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in sides:
+            tree = args.base if side == "base" else args.change
+            runs[side].append(run(tree.resolve(), csv, work / f"{side}.json"))
+    layers = list(runs["base"][0]["ms"])
+    result = {
+        "workload": {"points": POINTS, "grid": GRID, "seed": args.seed, "flags": FLAGS,
+                     "clusters": {s: runs[s][0]["clusters"] for s in runs}},
+        "pairs": args.pairs,
+        "median_ms": {s: {k: round(statistics.median(r["ms"][k] for r in runs[s]), 2)
+                          for k in layers} for s in runs},
+        "change_wins": {k: sum(c["ms"][k] < b["ms"][k]
+                               for b, c in zip(runs["base"], runs["change"]))
+                        for k in layers},
+    }
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,8 +17,7 @@ from .clustering import ClusterParams, cluster_density_map
 from .density import (DEFAULT_PADDING_FRACTION, auto_viewport, bin_points,
                       default_bandwidth, smooth)
 from .errors import ClusterNotFoundError, DataError, ParameterError
-from .geometry import (color_clusters, count_color_conflicts,
-                       shape_for_cluster, to_data_space)
+from .geometry import color_clusters, count_color_conflicts
 from .io import (cluster_document, load_points, read_cluster_document,
                  read_density_dump, write_density_dump, write_json)
 from .labeling import assign_documents, ctfidf_labels, emit_sql_predicate
@@ -194,21 +193,17 @@ def cmd_cluster(args) -> int:
     cmap, graph = cluster_density_map(dm, params)
     t2 = time.perf_counter()
 
-    shapes = [shape_for_cluster(cmap, cid, params.connectivity)
-              for cid in sorted(graph.nodes)]
     colors = color_clusters(graph, cfg.palette)
     conflicts = count_color_conflicts(graph, colors)
     if conflicts:
         print(f"warning: {conflicts} adjacent cluster pair(s) share a color",
               file=sys.stderr)
     space = "pixel" if getattr(args, "pixel_space", False) else "data"
-    if space == "data":
-        shapes = [to_data_space(s, vp) for s in shapes]
-    doc = cluster_document(vp, params, bandwidth, shapes, graph, colors, space)
+    doc = cluster_document(vp, params, bandwidth, cmap, graph, colors, space)
     write_json(cfg.output, doc)
     if cfg.density_out:
         write_density_dump(cfg.density_out, dm)
-    print(f"clusters={len(graph.nodes)} pixels={vp.width * vp.height} "
+    print(f"clusters={len(doc.clusters)} pixels={vp.width * vp.height} "
           f"load_ms={load_ms:.1f} kde_ms={(t1 - t0) * 1000:.1f} "
           f"cluster_ms={(t2 - t1) * 1000:.1f}")
     return 0

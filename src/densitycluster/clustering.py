@@ -182,10 +182,8 @@ class ClusterMap:
         height[order[first]] = np.diff(np.append(first, val.size))
         head = np.flatnonzero(height)
         y0 = row[head]
-        bounds = np.stack((x0[head], y0, x1[head], y0 + height[head]))
-        return RectTable(_spans(val[head]),
-                         list(zip(*bounds.tolist())),
-                         list(zip(*bounds.astype(float).tolist())))
+        return RectTable(_spans(val[head]), np.stack(
+            (x0[head], y0, x1[head], y0 + height[head]), axis=1))
 
     def rings(self, connectivity: int) -> RingTable:
         """Every cluster's boundary rings under one connectivity (cached).
@@ -232,38 +230,46 @@ class ClusterMap:
         # twice the shoelace area of each ring; holes wind clockwise
         cross = x * y[nxt] - x[nxt] * y
         holes = np.bincount(ring, weights=cross) < 0
-        corners = tuple(zip(x[order].astype(float).tolist(),
-                            y[order].astype(float).tolist()))
-        bounds = [0] + stop.tolist()
-        vertices = [corners[a:b] for a, b in zip(bounds, bounds[1:])]
-        return RingTable(_spans(val[is_first]), vertices, holes.tolist())
+        return RingTable(_spans(val[is_first]), np.stack((x[order], y[order]), axis=1),
+                         np.append(0, stop), holes)
 
 
 class RectTable(NamedTuple):
     """Rectangle covers of every cluster of a map (ClusterMap.rects).
 
-    rows[i] is the half-open pixel box [x0, x1) x [y0, y1) of one cluster's
-    rect as (x0, y0, x1, y1), and float_rows[i] the same as floats; rects
-    are sorted by (cluster id, y0, x0), and span maps each cluster id to its
-    (start, stop) range of rects.
+    bounds is an int (m, 4) array: row i is the half-open pixel box
+    [x0, x1) x [y0, y1) of one rect as (x0, y0, x1, y1). Rects are sorted by
+    (cluster id, y0, x0), and span maps each cluster id to its (start, stop)
+    range of rows.
     """
 
     span: dict[int, tuple[int, int]]
-    rows: list[tuple[int, int, int, int]]
-    float_rows: list[tuple[float, float, float, float]]
+    bounds: np.ndarray
 
 
-class RingTable(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class RingTable:
     """Boundary rings of every cluster of a map under one connectivity.
 
-    vertices[i] are ring i's pixel corners as float pairs, and hole[i] tells
-    whether it winds clockwise; span maps each cluster id to its
-    (start, stop) range of rings.
+    vertices is an int (n, 2) array of pixel corners (x, y): ring i is
+    vertices[offsets[i]:offsets[i + 1]], and hole[i] tells whether it winds
+    clockwise. span maps each cluster id to its (start, stop) range of
+    rings; a cluster's first ring is an outer ring, as it leaves the
+    cluster's smallest (y, x) corner.
     """
 
     span: dict[int, tuple[int, int]]
-    vertices: list[tuple[tuple[float, float], ...]]
-    hole: list[bool]
+    vertices: np.ndarray
+    offsets: np.ndarray
+    hole: np.ndarray
+
+    @cached_property
+    def corners(self) -> list[tuple[tuple[float, float], ...]]:
+        """Each ring's corners as float pairs, built on first read: the view
+        of the per-cluster functions (geometry.trace_boundary)."""
+        pairs = tuple(zip(*self.vertices.T.astype(float).tolist()))
+        cut = self.offsets.tolist()
+        return [pairs[a:b] for a, b in zip(cut, cut[1:])]
 
 
 def _spans(val: np.ndarray) -> dict[int, tuple[int, int]]:

@@ -45,7 +45,8 @@ class Viewport:
 
     Pixel (px, py) covers the half-open data rectangle
     [x_min + px*sx, x_min + (px+1)*sx) x [y_min + py*sy, y_min + (py+1)*sy),
-    with sx = (x_max - x_min) / width and sy likewise.
+    with sx = (x_max - x_min) / width and sy likewise. Each step must exceed
+    8 ulp of its axis's largest coordinate, so that pixel edges stay distinct.
     """
 
     x_min: float
@@ -65,6 +66,13 @@ class Viewport:
             )
         if self.width < 1 or self.height < 1:
             raise ParameterError("viewport must be at least 1x1 pixels")
+        # pixel edges lo + p*step must strictly increase: with M = max(|lo|, |hi|),
+        # rounding p*step (at most about 2M) and the sum moves an edge by at most
+        # 3 ulp(M), so a step above 6 ulp(M) suffices; 8 leaves a margin
+        for lo, hi, step, axis in ((self.x_min, self.x_max, self.sx, "x"),
+                                   (self.y_min, self.y_max, self.sy, "y")):
+            if not step > 8 * math.ulp(max(abs(lo), abs(hi))):
+                raise ParameterError(f"the {axis} range [{lo}, {hi}] is too narrow for the grid")
 
     @property
     def sx(self) -> float:
@@ -156,16 +164,9 @@ def auto_viewport(points: PointBatch, width: int, height: int,
     x_min, x_max = _axis(float(xs.min()), float(xs.max()))
     y_min, y_max = _axis(float(ys.min()), float(ys.max()))
     try:
-        vp = Viewport(x_min, x_max, y_min, y_max, width, height)
+        return Viewport(x_min, x_max, y_min, y_max, width, height)
     except ParameterError as exc:  # the grid is valid, so the box is at fault
         raise DataError(str(exc)) from None
-    # pixel edges lo + p*step must strictly increase: with M = max(|lo|, |hi|),
-    # rounding p*step (at most about 2M) and the sum moves an edge by at most
-    # 3 ulp(M), so a step above 6 ulp(M) suffices; 8 leaves a margin
-    for lo, hi, step, axis in ((x_min, x_max, vp.sx, "x"), (y_min, y_max, vp.sy, "y")):
-        if not step > 8 * math.ulp(max(abs(lo), abs(hi))):
-            raise DataError(f"the {axis} range [{lo}, {hi}] is too narrow for the grid")
-    return vp
 
 
 def bin_points(points: PointBatch, viewport: Viewport) -> DensityMap:

@@ -6,12 +6,17 @@ exactly. Outer rings wind counterclockwise (positive shoelace area, y up),
 hole rings clockwise.
 
 Every cluster's rings and rects are built at once per map, as the cached
-tables ClusterMap.rings(connectivity) and ClusterMap.rects; trace_boundary
-and decompose_rectangles return one cluster's slice of them.
+whole-map arrays ClusterMap.rings(connectivity) (an int vertex array cut by
+ring offsets) and ClusterMap.rects (an int (m, 4) array), each with a span
+per cluster id. io.cluster_document writes the cluster JSON straight from
+them; trace_boundary and decompose_rectangles return one cluster's slice of
+them as tuples.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .clustering import ClusterGraph, ClusterMap
 from .density import Viewport
@@ -68,16 +73,14 @@ def trace_boundary(cmap: ClusterMap, cluster_id: int,
     """
     table = cmap.rings(connectivity)
     a, b = _span(table.span, cluster_id)
-    outer: list[PolygonRing] = []
-    holes: list[PolygonRing] = []
-    for vertices, hole in zip(table.vertices[a:b], table.hole[a:b]):
-        (holes if hole else outer).append(PolygonRing(vertices))
-    if len(outer) != 1:
+    rings = list(map(PolygonRing, table.corners[a:b]))
+    hole = table.hole[a:b].tolist()
+    if hole.count(False) != 1:
         raise DataError(
             f"cluster {cluster_id} region is not connected under "
-            f"{connectivity}-connectivity ({len(outer)} outer rings)"
+            f"{connectivity}-connectivity ({hole.count(False)} outer rings)"
         )
-    return ClusterShape(cluster_id, outer[0], holes)
+    return ClusterShape(cluster_id, rings[0], rings[1:])
 
 
 def decompose_rectangles(cmap: ClusterMap, cluster_id: int
@@ -90,7 +93,7 @@ def decompose_rectangles(cmap: ClusterMap, cluster_id: int
     cmap.rects.
     """
     a, b = _span(cmap.rects.span, cluster_id)
-    return cmap.rects.rows[a:b]
+    return list(map(tuple, cmap.rects.bounds[a:b].tolist()))
 
 
 def _span(span: dict[int, tuple[int, int]], cluster_id: int) -> tuple[int, int]:
@@ -121,35 +124,38 @@ def shape_for_cluster(cmap: ClusterMap, cluster_id: int,
     shape = trace_boundary(cmap, cluster_id, connectivity)
     rects = decompose_rectangles(cmap, cluster_id)
     a = cmap.rects.span[cluster_id][0]
-    shape.rects = cmap.rects.float_rows[a:a + len(rects)]
+    shape.rects = list(map(tuple, cmap.rects.bounds[a:a + len(rects)].astype(float).tolist()))
     return shape
 
 
 def color_clusters(graph: ClusterGraph, palette_size: int = 10) -> dict[int, int]:
-    """Greedy coloring in descending-degree order.
+    """Greedy coloring in descending-degree order, ties by ascending id.
 
     Adjacent clusters get distinct indices whenever palette_size exceeds the
     maximum degree; with smaller palettes the least-conflicting color is
-    chosen. Count leftover conflicts with count_color_conflicts.
+    chosen. Count leftover conflicts with count_color_conflicts. Degrees and
+    neighbours are read from the edge columns.
     """
     if palette_size < 1:
         raise ParameterError("palette_size must be >= 1")
-    adj = graph.adjacency()
-    order = sorted(graph.nodes, key=lambda cid: (-len(adj[cid]), cid))
+    ids = np.flatnonzero(graph.peak >= 0)
+    src = np.concatenate((graph.edges.a, graph.edges.b))
+    degree = np.bincount(src, minlength=graph.peak.size)
+    cut = np.append(0, np.cumsum(degree)).tolist()
+    neighbors = np.concatenate((graph.edges.b, graph.edges.a))[
+        np.argsort(src, kind="stable")].tolist()
+    color = [-1] * graph.peak.size
     colors: dict[int, int] = {}
-    for cid in order:
-        neighbor_colors = [colors[n] for n in adj[cid] if n in colors]
-        used = set(neighbor_colors)
-        free = next((c for c in range(palette_size) if c not in used), None)
-        if free is not None:
-            colors[cid] = free
-        else:
-            counts = [neighbor_colors.count(c) for c in range(palette_size)]
-            colors[cid] = counts.index(min(counts))
+    for cid in ids[np.lexsort((ids, -degree[ids]))].tolist():
+        taken = [color[n] for n in neighbors[cut[cid]:cut[cid + 1]]]
+        free = next((c for c in range(palette_size) if c not in taken), None)
+        if free is None:  # the colour fewest neighbours hold, the smallest on ties
+            free = min(range(palette_size), key=taken.count)
+        color[cid] = colors[cid] = free
     return colors
 
 
 def count_color_conflicts(graph: ClusterGraph, colors: dict[int, int]) -> int:
-    edges = graph.edges
-    return sum(1 for a, b in zip(edges.a.tolist(), edges.b.tolist())
-               if colors[a] == colors[b])
+    color = np.zeros(graph.peak.size, dtype=np.int64)
+    color[list(colors)] = list(colors.values())
+    return int(np.count_nonzero(color[graph.edges.a] == color[graph.edges.b]))

@@ -21,14 +21,14 @@ import struct
 import warnings
 from dataclasses import dataclass
 from io import BytesIO, TextIOWrapper
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter
 
 import numpy as np
 
 from .density import DensityMap, PointBatch, Viewport, check_density_values
 from .errors import DataError, NoDataError, ParameterError
-from .geometry import ClusterShape, PolygonRing, to_data_space
+from .geometry import ClusterShape, PolygonRing, to_data_space, trace_boundary
 
 # loading aborts when more than this fraction of data rows is malformed
 MALFORMED_ROW_LIMIT = 0.01
@@ -229,14 +229,15 @@ def read_density_dump(path) -> tuple[int, int, np.ndarray]:
 
 @dataclass
 class ClusterRecord:
-    """One cluster of a cluster document; fields in their JSON order."""
+    """One cluster of a cluster document; fields in their JSON order. In a
+    built document outer, holes and rects are None (see ClusterDocument)."""
 
     id: int
     peak: dict
     area_px: int
-    outer: list        # [[x, y], ...]
-    holes: list        # [[[x, y], ...], ...]
-    rects: list        # [[x0, y0, x1, y1], ...]
+    outer: list | None   # [[x, y], ...]
+    holes: list | None   # [[[x, y], ...], ...]
+    rects: list | None   # [[x0, y0, x1, y1], ...]
     color: int
     label: list | None = None
 
@@ -249,16 +250,22 @@ class ClusterRecord:
 class ClusterDocument:
     """The cluster JSON: geometry in `space` ("data" or "pixel") units.
 
-    Rings and rects are kept as given (the JSON lists when read, the shapes'
-    tuples when built) and are never converted.
+    A document built by cluster_document holds its geometry only as the
+    JSON text of each cluster's outer, holes and rects (`geometry`), cut
+    from the map's whole-map ring and rect arrays. One read back holds the
+    JSON lists in its records, and `geometry` is None; render_svg and
+    rect_shape read those lists, so they take documents read back.
     """
 
     space: str
     viewport: Viewport
     params: dict
     clusters: list[ClusterRecord]
+    geometry: list[str] | None = None
 
     def to_dict(self) -> dict:
+        if self.geometry is not None:  # the geometry exists only as text
+            return json.loads(self.to_json())
         return {"space": self.space, "viewport": self.viewport.to_dict(),
                 "params": self.params,
                 "clusters": [c.to_dict() for c in self.clusters]}
@@ -266,30 +273,18 @@ class ClusterDocument:
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), separators=(",", ":")), byte for byte.
 
-        The numbers of `outer`, `holes` and `rects` come from _number_texts.
-        The json encoder writes the rest once, with a slot string in place of
-        each of those fields, and the geometry text is put into the slots.
+        The json encoder writes the document once, with a slot string in
+        place of each outer, holes and rects field, and the geometry text is
+        put into the slots: the built text, or for a document read back the
+        text of its lists, whose numbers come from _number_texts.
         """
-        clusters = self.clusters
-        rings = [r for c in clusters for r in (c.outer, *c.holes)]
-        vertices = _item_texts(chain.from_iterable(rings), 2)
-        rects = _item_texts(chain.from_iterable(c.rects for c in clusters), 4)
-        geometry = []
-        v = r = 0
-        for c in clusters:
-            ring_texts = []
-            for ring in (c.outer, *c.holes):
-                ring_texts.append(_nested_list(vertices[v:v + len(ring)]))
-                v += len(ring)
-            geometry += (ring_texts[0], f'[{",".join(ring_texts[1:])}]',
-                         _nested_list(rects[r:r + len(c.rects)]))
-            r += len(c.rects)
-
-        doc = self.to_dict()
-        for c in doc["clusters"]:
-            c.update(outer=_SLOT, holes=_SLOT, rects=_SLOT)
+        geometry = self.geometry or _list_texts(self.clusters)
+        doc = {"space": self.space, "viewport": self.viewport.to_dict(),
+               "params": self.params, "clusters": [
+                   {**c.to_dict(), "outer": _SLOT, "holes": _SLOT, "rects": _SLOT}
+                   for c in self.clusters]}
         pieces = _JSON.encode(doc).split(_JSON.encode(_SLOT))
-        if len(pieces) != len(geometry) + 1:  # a string of the document looks like a slot
+        if len(pieces) != len(geometry) + 1:  # a string of a read-back document looks like a slot
             return _JSON.encode(self.to_dict())
         return "".join(chain.from_iterable(zip(pieces, geometry))) + pieces[-1]
 
@@ -333,31 +328,77 @@ def _item_texts(items, arity: int) -> list[str]:
 
 
 def _nested_list(items: list[str]) -> str:
-    """The JSON list of items given by _item_texts."""
+    """The JSON list of items given without their brackets."""
     return "[[" + "],[".join(items) + "]]" if items else "[]"
 
 
-def cluster_document(viewport: Viewport, params, bandwidth_px: float, shapes,
+def _geometry_texts(pairs, ring_cut, ring_span, boxes, rect_span) -> list[str]:
+    """The JSON of each cluster's outer, holes and rects, in order, from the
+    text of every vertex (pairs) and rect (boxes) without brackets: ring i
+    is pairs[ring_cut[i]:ring_cut[i + 1]], and each cluster spans a
+    (start, stop) range of rings, outer ring first, and one of rects."""
+    rings = [_nested_list(pairs[i:j]) for i, j in zip(ring_cut, ring_cut[1:])]
+    return [text for (a, b), (i, j) in zip(ring_span, rect_span) for text in
+            (rings[a], f'[{",".join(rings[a + 1:b])}]', _nested_list(boxes[i:j]))]
+
+
+def _list_texts(clusters: list[ClusterRecord]) -> list[str]:
+    """_geometry_texts of records that hold their geometry as lists."""
+    rings = [r for c in clusters for r in (c.outer, *c.holes)]
+    ring_cut = list(accumulate((1 + len(c.holes) for c in clusters), initial=0))
+    rect_cut = list(accumulate((len(c.rects) for c in clusters), initial=0))
+    return _geometry_texts(
+        _item_texts(chain.from_iterable(rings), 2),
+        list(accumulate(map(len, rings), initial=0)), zip(ring_cut, ring_cut[1:]),
+        _item_texts(chain.from_iterable(c.rects for c in clusters), 4),
+        zip(rect_cut, rect_cut[1:]))
+
+
+def cluster_document(viewport: Viewport, params, bandwidth_px: float, cmap,
                      graph, colors: dict[int, int],
                      space: str = "data") -> ClusterDocument:
-    """Assemble the cluster document from shapes already in `space` units."""
-    clusters = []
-    for shape in shapes:
-        node = graph.nodes[shape.cluster_id]
-        if space == "data":
-            peak_x = viewport.pixel_to_data_x(node.peak_xy[0] + 0.5)
-            peak_y = viewport.pixel_to_data_y(node.peak_xy[1] + 0.5)
-        else:
-            peak_x, peak_y = float(node.peak_xy[0]), float(node.peak_xy[1])
-        clusters.append(ClusterRecord(
-            shape.cluster_id,
-            {"x": peak_x, "y": peak_y, "density": node.peak_density},
-            node.area_px, shape.outer.vertices,
-            [h.vertices for h in shape.holes], shape.rects,
-            colors[shape.cluster_id]))
+    """The document of every cluster of `graph`, in id order, in `space` units.
+
+    Peaks and areas come from the graph's columns, rings and rects from
+    cmap's tables (rings under params.connectivity). A corner's text is its
+    pixel edges' text, lo + p*step in data units (to_data_space's
+    expression), formatted once per edge. A cluster without exactly one
+    outer ring raises trace_boundary's DataError.
+    """
+    ids = np.flatnonzero(graph.peak >= 0)
+    py, px = np.divmod(graph.peak[ids], graph.width)
+    if space == "data":
+        px = viewport.x_min + (px + 0.5) * viewport.sx
+        py = viewport.y_min + (py + 0.5) * viewport.sy
+    ids = ids.tolist()
+    rings, rects = cmap.rings(params.connectivity), cmap.rects
+    ring_span = [rings.span[cid] for cid in ids]
+    a, b = np.array(ring_span, dtype=np.int64).reshape(-1, 2).T
+    outer = np.append(0, np.cumsum(~rings.hole))
+    for k in np.flatnonzero(outer[b] - outer[a] != 1)[:1].tolist():
+        trace_boundary(cmap, ids[k], params.connectivity)  # raises
+
+    edges = []  # x edge p at index p, y edge q at width + 1 + q
+    for lo, step, n in ((viewport.x_min, viewport.sx, viewport.width),
+                        (viewport.y_min, viewport.sy, viewport.height)):
+        p = np.arange(n + 1)
+        with np.errstate(over="ignore"):  # inf, as the same float arithmetic gives
+            edges += _JSON.encode((lo + p * step if space == "data"
+                                   else p.astype(float)).tolist())[1:-1].split(",")
+    edges, y0 = np.array(edges, dtype=object), viewport.width + 1
+    geometry = _geometry_texts(
+        list(map(",".join, zip(*edges[(rings.vertices + [0, y0]).T].tolist()))),
+        rings.offsets.tolist(), ring_span,
+        list(map(",".join, zip(*edges[(rects.bounds + [0, y0, 0, y0]).T].tolist()))),
+        [rects.span[cid] for cid in ids])
+    clusters = [ClusterRecord(cid, {"x": x, "y": y, "density": d}, area,
+                              None, None, None, colors[cid])
+                for cid, x, y, d, area in zip(
+                    ids, px.astype(float).tolist(), py.astype(float).tolist(),
+                    graph.peak_density[ids].tolist(), graph.area[ids].tolist())]
     params_dict = params.to_dict()
     params_dict["bandwidth_px"] = bandwidth_px
-    return ClusterDocument(space, viewport, params_dict, clusters)
+    return ClusterDocument(space, viewport, params_dict, clusters, geometry)
 
 
 def write_json(path, doc) -> None:

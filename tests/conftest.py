@@ -237,3 +237,21 @@ def one_component(mask: np.ndarray, connectivity: int) -> np.ndarray:
                 out[ny, nx] = True
                 stack.append((ny, nx))
     return out
+
+
+def dict_greedy_colors(graph, palette_size: int) -> dict:
+    """Greedy colouring over a dict adjacency built from the edge rows; the
+    reference for color_clusters. Nodes go by (-degree, id); each takes the
+    smallest colour no coloured neighbour holds, or else the colour fewest
+    coloured neighbours hold (the smallest on ties)."""
+    adj = {cid: [] for cid in graph.nodes}
+    for a, b in zip(graph.edges.a.tolist(), graph.edges.b.tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    colors = {}
+    for cid in sorted(adj, key=lambda c: (-len(adj[c]), c)):
+        taken = [colors[n] for n in adj[cid] if n in colors]
+        free = [c for c in range(palette_size) if c not in taken]
+        colors[cid] = free[0] if free else min(
+            range(palette_size), key=lambda c: (taken.count(c), c))
+    return colors

@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densitycluster.clustering import (ClusterEdges, ClusterGraph, ClusterMap,
-                                       cluster_density_map)
+                                       ClusterParams, cluster_density_map)
 from densitycluster.density import Viewport
 from densitycluster.errors import (ClusterNotFoundError, DataError,
                                    ParameterError)
 from densitycluster.geometry import (color_clusters, count_color_conflicts,
                                      decompose_rectangles, shape_for_cluster,
                                      to_data_space, trace_boundary)
+from densitycluster.io import cluster_document, write_json
 from densitycluster.oracles import rasterize_rings
 
-from conftest import one_component, region_pixels
+from conftest import dict_greedy_colors, one_component, region_pixels
 
 
 def _cmap_from_mask(mask) -> ClusterMap:
@@ -201,6 +202,26 @@ def test_disconnected_cluster_fails_alone():
     assert rasterize_rings(shape.outer, shape.holes) == {(1, 3), (2, 4)}
 
 
+@pytest.mark.parametrize("space", ["data", "pixel"])
+def test_document_writer_fails_as_trace_boundary_does(tmp_path, space):
+    ids = np.full((6, 7), -1, dtype=np.int32)
+    ids[0:2, 0:3] = 0
+    ids[3, 1] = ids[4, 2] = 1
+    ids[1:6, 4:7] = 2
+    ids[3, 5] = 3
+    cmap = ClusterMap(ids)
+    with pytest.raises(DataError) as expected:
+        trace_boundary(cmap, 1, 4)
+    peak = np.array([0, 3 * 7 + 1, 7 + 4, 3 * 7 + 5], dtype=np.int64)
+    graph = ClusterGraph(7, peak, np.ones(4), np.bincount(ids[ids >= 0]),
+                         ClusterEdges.empty())
+    with pytest.raises(DataError) as got:
+        write_json(tmp_path / "c.json", cluster_document(
+            Viewport(0.0, 7.0, 0.0, 6.0, 7, 6), ClusterParams(connectivity=4), 0.0,
+            cmap, graph, color_clusters(graph, 10), space))
+    assert str(got.value) == str(expected.value)
+
+
 def test_rect_table_slices_cover_every_corpus_cluster(fixture_corpus):
     for name, dm, params in fixture_corpus:
         cmap, graph = cluster_density_map(dm, params)
@@ -300,3 +321,20 @@ def test_color_corpus_no_conflicts_with_big_palette(fixture_corpus):
         colors10 = color_clusters(graph, 10)
         if max_degree < 10:
             assert count_color_conflicts(graph, colors10) == 0, name
+
+
+@pytest.mark.parametrize("palette", [1, 2, 3, 10])
+def test_color_matches_dict_greedy_reference(fixture_corpus, palette):
+    graphs = [cluster_density_map(dm, params)[1] for _, dm, params in fixture_corpus]
+    graphs += [_graph_with_edges(2, [(0, 1)]), _graph_with_edges(4, []),
+               _graph_with_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+               _graph_with_edges(3, [(0, 1), (1, 2), (0, 2)]),
+               _graph_with_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2),
+                                     (2, 3), (3, 4), (4, 5)])]
+    for graph in graphs:
+        colors = color_clusters(graph, palette)
+        want = dict_greedy_colors(graph, palette)
+        assert list(colors.items()) == list(want.items())
+        assert count_color_conflicts(graph, colors) == sum(
+            want[a] == want[b] for a, b in zip(graph.edges.a.tolist(),
+                                               graph.edges.b.tolist()))

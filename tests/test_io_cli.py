@@ -584,6 +584,31 @@ def test_cli_points_box_without_a_usable_grid_is_data_error(tmp_path, capsys, ro
     assert not (tmp_path / "c.json").exists()
 
 
+@pytest.mark.parametrize("span, code", [(0.3, 3), (64.0, 3), (72.0, 0)])
+@pytest.mark.parametrize("command", ["render", "sql", "label"])
+def test_cli_document_viewport_pixel_step_bound(tmp_path, capsys, command, span,
+                                                code):
+    # near 1e15 an ulp is 0.125, and the bound asks for a step above 8 ulp:
+    # over 64 pixels a span of 64 gives a step of 8 ulp, 72 one of 9 ulp
+    path = tmp_path / "px.json"
+    assert main(["cluster", "--input", str(FIXTURE_CSV), "--width", "64",
+                 "--height", "64", "--pixel-space", "--output", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["viewport"].update(x_min=1e15, x_max=1e15 + span)
+    path.write_text(json.dumps(doc))
+    argv = {
+        "render": ["render", "--output", str(tmp_path / "out.svg")],
+        "sql": ["sql", "--cluster-id", str(doc["clusters"][0]["id"])],
+        "label": ["label", "--input", str(FIXTURE_CSV), "--text-col", "text",
+                  "--output", str(tmp_path / "labels.json")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--cluster-json", str(path)]) == code
+    err = capsys.readouterr().err
+    assert ("too narrow for the grid" in err) == (code == 3)
+    assert "Traceback" not in err
+
+
 def test_cli_label_huge_viewport_reads_rects_only(tmp_path):
     # label looks documents up among the rects; the viewport's grid size is
     # never allocated, so a 10**8 x 10**8 viewport labels as the fixture does
@@ -746,6 +771,78 @@ def test_cli_render_golden_bytes(tmp_path):
     assert svg.read_bytes() == GOLDEN_SVG.read_bytes()
 
 
+def test_cli_cluster_golden_bytes(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["cluster", "--input", str(FIXTURE_CSV), "--width", "128",
+                 "--height", "128", "--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "two_gaussians_clusters.json").read_bytes()
+
+
+def _reference_document(dm, params, space) -> str:
+    """The cluster JSON of a density map, built one shape at a time through
+    shape_for_cluster and to_data_space and encoded by json.dumps."""
+    from densitycluster.clustering import cluster_density_map
+    from densitycluster.geometry import shape_for_cluster, to_data_space
+    from conftest import dict_greedy_colors
+
+    vp = dm.viewport
+    cmap, graph = cluster_density_map(dm, params)
+    colors = dict_greedy_colors(graph, 10)
+    clusters = []
+    for cid, node in sorted(graph.nodes.items()):
+        shape = shape_for_cluster(cmap, cid, params.connectivity)
+        px, py = node.peak_xy
+        if space == "data":
+            shape = to_data_space(shape, vp)
+            peak = {"x": vp.x_min + (px + 0.5) * vp.sx,
+                    "y": vp.y_min + (py + 0.5) * vp.sy}
+        else:
+            peak = {"x": float(px), "y": float(py)}
+        clusters.append({
+            "id": cid, "peak": {**peak, "density": node.peak_density},
+            "area_px": node.area_px,
+            "outer": [list(v) for v in shape.outer.vertices],
+            "holes": [[list(v) for v in h.vertices] for h in shape.holes],
+            "rects": [list(r) for r in shape.rects], "color": colors[cid]})
+    doc = {"space": space,
+           "viewport": {"x_min": vp.x_min, "x_max": vp.x_max, "y_min": vp.y_min,
+                        "y_max": vp.y_max, "width": vp.width, "height": vp.height},
+           "params": {"truncation_ratio": params.truncation_ratio,
+                      "merge_distance_px": params.merge_distance_px,
+                      "connectivity": params.connectivity,
+                      "min_peak_density": params.min_peak_density,
+                      "bandwidth_px": 0.0},
+           "clusters": clusters}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("space", ["data", "pixel"])
+def test_cli_cluster_document_matches_per_shape_reference(tmp_path, fixture_corpus,
+                                                          space, connectivity):
+    # `cluster` on each corpus map: the viewport and the smoothed density are
+    # the map's, whatever the (one-point) input file
+    from dataclasses import replace
+
+    points = tmp_path / "p.csv"
+    points.write_text("x,y\n0.5,0.5\n")
+    out = tmp_path / "c.json"
+    for name, dm, params in fixture_corpus:
+        params = replace(params, connectivity=connectivity)
+        flags = ["--width", str(dm.width), "--height", str(dm.height),
+                 "--bandwidth", "0", "--connectivity", str(connectivity),
+                 "--truncation-ratio", repr(params.truncation_ratio),
+                 "--merge-distance", repr(params.merge_distance_px),
+                 "--min-peak-density", repr(params.min_peak_density)]
+        if space == "pixel":
+            flags.append("--pixel-space")
+        with mock.patch("densitycluster.cli.auto_viewport", lambda *a: dm.viewport), \
+                mock.patch("densitycluster.cli.smooth", lambda *a: dm):
+            assert main(["cluster", "--input", str(points), "--output", str(out),
+                         *flags]) == 0, name
+        assert out.read_text() == _reference_document(dm, params, space), name
+
+
 def test_cli_render_underlay_and_mismatch(tmp_path, capsys):
     out = tmp_path / "c.json"
     dump = tmp_path / "d.bin"
@@ -779,7 +876,7 @@ def test_cli_cluster_warns_of_color_conflicts(tmp_path, capsys):
 def test_cli_render_one_path_per_cluster_distinct_adjacent_colors(tmp_path):
     # adjacent clusters: the 6 px pair kept apart with merge distance 0
     from densitycluster.clustering import ClusterParams, cluster_density_map
-    from densitycluster.geometry import color_clusters, shape_for_cluster, to_data_space
+    from densitycluster.geometry import color_clusters
     from densitycluster.io import cluster_document, write_json
     from conftest import two_gauss_near
 
@@ -787,10 +884,8 @@ def test_cli_render_one_path_per_cluster_distinct_adjacent_colors(tmp_path):
     params = ClusterParams(merge_distance_px=0.0)
     cmap, graph = cluster_density_map(dm, params)
     assert len(graph.nodes) == 2 and graph.edges  # still touching after truncation
-    shapes = [to_data_space(shape_for_cluster(cmap, cid), dm.viewport)
-              for cid in sorted(graph.nodes)]
     colors = color_clusters(graph, 10)
-    doc = cluster_document(dm.viewport, params, 0.0, shapes, graph, colors)
+    doc = cluster_document(dm.viewport, params, 0.0, cmap, graph, colors)
     cluster_json = tmp_path / "near.json"
     write_json(cluster_json, doc.to_dict())
 
@@ -804,15 +899,47 @@ def test_cli_render_one_path_per_cluster_distinct_adjacent_colors(tmp_path):
     # one cluster -> exactly one path element
     cmap1, graph1 = cluster_density_map(dm, ClusterParams(merge_distance_px=8.0))
     assert len(graph1.nodes) == 1
-    shapes1 = [to_data_space(shape_for_cluster(cmap1, cid), dm.viewport)
-               for cid in graph1.nodes]
-    doc1 = cluster_document(dm.viewport, ClusterParams(), 0.0, shapes1, graph1,
+    doc1 = cluster_document(dm.viewport, ClusterParams(), 0.0, cmap1, graph1,
                             color_clusters(graph1, 10))
     one_json = tmp_path / "one.json"
     write_json(one_json, doc1.to_dict())
     svg1 = tmp_path / "one.svg"
     main(["render", "--cluster-json", str(one_json), "--output", str(svg1)])
     assert svg1.read_text().count("<path") == 1
+
+
+def test_cli_many_clusters_round_trip(tmp_path, capsys):
+    # uniform points under a one-pixel kernel, never merged: over a thousand
+    # small clusters, through every document command
+    rng = np.random.default_rng(7)
+    xs, ys = rng.uniform(0.0, 250.0, (2, 12_500))
+    words = np.array(["harbor", "violin", "basalt", "nebula", "ember"])[
+        rng.integers(0, 5, 12_500)]
+    points = tmp_path / "points.csv"
+    points.write_text("x,y,text\n" + "".join(
+        f"{x!r},{y!r},{w}\n" for x, y, w in zip(xs.tolist(), ys.tolist(), words)))
+    doc_path = tmp_path / "c.json"
+    assert main(["cluster", "--input", str(points), "--width", "250",
+                 "--height", "250", "--bandwidth", "1", "--merge-distance", "0",
+                 "--output", str(doc_path)]) == 0
+    doc = read_cluster_document(doc_path)
+    assert len(doc.clusters) > 1000
+    again = tmp_path / "again.json"
+    dio.write_json(again, doc)
+    assert again.read_bytes() == doc_path.read_bytes()
+    vp = doc.viewport
+    for c in doc.clusters:
+        px = np.rint((np.array(c.rects) - [vp.x_min, vp.y_min] * 2)
+                     / ([vp.sx, vp.sy] * 2)).astype(int)
+        assert ((px[:, 2] - px[:, 0]) * (px[:, 3] - px[:, 1])).sum() == c.area_px
+    assert main(["render", "--cluster-json", str(doc_path),
+                 "--output", str(tmp_path / "c.svg")]) == 0
+    assert main(["label", "--input", str(points), "--text-col", "text",
+                 "--cluster-json", str(doc_path),
+                 "--output", str(tmp_path / "labels.json")]) == 0
+    assert main(["sql", "--cluster-json", str(doc_path),
+                 "--cluster-id", str(doc.clusters[-1].id)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_label_and_merge(tmp_path):

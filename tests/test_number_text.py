@@ -10,12 +10,12 @@ import re
 import struct
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from densitycluster.clustering import cluster_density_map
 from densitycluster.density import Viewport
-from densitycluster.geometry import (ClusterShape, PolygonRing, color_clusters,
-                                     shape_for_cluster, to_data_space)
+from densitycluster.errors import ParameterError
+from densitycluster.geometry import ClusterShape, PolygonRing, color_clusters
 from densitycluster.io import (ClusterDocument, ClusterRecord, cluster_document,
                                format_number, read_cluster_document, write_json)
 from densitycluster.labeling import emit_sql_predicate
@@ -40,9 +40,13 @@ def _rings(numbers):
 def _documents(draw):
     x_min = draw(st.sampled_from([0.0, -0.0, -3.5, 1e-7, 1e15]))
     y_min = draw(st.sampled_from([0.0, 2.5, -1e-7]))
-    viewport = Viewport(x_min, x_min + draw(st.sampled_from([1.0, 0.3, 250.0, 1e17])),
-                        y_min, y_min + draw(st.sampled_from([1.0, 7.0, 1e-5])),
-                        draw(st.integers(1, 300)), draw(st.integers(1, 300)))
+    bounds = (x_min, x_min + draw(st.sampled_from([1.0, 0.3, 250.0, 1e17])),
+              y_min, y_min + draw(st.sampled_from([1.0, 7.0, 1e-5])),
+              draw(st.integers(1, 300)), draw(st.integers(1, 300)))
+    try:
+        viewport = Viewport(*bounds)
+    except ParameterError:  # pixel edges that collapse: no document holds them
+        reject()
     ids = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=5))
     numbers = draw(st.sampled_from([_FLOATS, _NUMBERS]))  # what `cluster` writes, or not
     clusters = [ClusterRecord(
@@ -113,11 +117,7 @@ def test_cluster_documents_rewrite_byte_identically(tmp_path, fixture_corpus, sp
     # written again
     for name, dm, params in fixture_corpus:
         cmap, graph = cluster_density_map(dm, params)
-        shapes = [shape_for_cluster(cmap, cid, params.connectivity)
-                  for cid in sorted(graph.nodes)]
-        if space == "data":
-            shapes = [to_data_space(s, dm.viewport) for s in shapes]
-        doc = cluster_document(dm.viewport, params, 1.0, shapes, graph,
+        doc = cluster_document(dm.viewport, params, 1.0, cmap, graph,
                                color_clusters(graph, 10), space)
         first, second = tmp_path / f"{name}.json", tmp_path / f"{name}.again.json"
         write_json(first, doc)
