@@ -16,10 +16,11 @@ Each run is a fresh interpreter that imports `densitycluster` from one tree's
 every layer function below wrapped to sum its calls' wall time (inclusive
 of the layers it calls). Pairs alternate which tree runs first. The last
 line printed is JSON: per-layer medians in ms for each tree, how many pairs
-the change (`--change`, default this checkout) was faster in, and the
-cluster count of each tree's document. `output_ms` sums the layers that
-turn the cluster map into the document: shapes, `to_data_space`,
-`cluster_document` and `write_json`.
+the change (`--change`, default this checkout) was faster in, the cluster
+count of each tree's document, and the number of CPUs the runs could use
+(smoothing and initial clustering split their work over them). `output_ms`
+sums the layers that turn the cluster map into the document: shapes,
+`to_data_space`, `cluster_document` and `write_json`.
 """
 from __future__ import annotations
 
@@ -146,6 +147,8 @@ def main() -> int:
         "workload": {"points": POINTS, "grid": GRID, "seed": args.seed, "flags": FLAGS,
                      "clusters": {s: runs[s][0]["clusters"] for s in runs}},
         "pairs": args.pairs,
+        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count(),
         "median_ms": {s: {k: round(statistics.median(r["ms"][k] for r in runs[s]), 2)
                           for k in layers} for s in runs},
         "change_wins": {k: sum(c["ms"][k] < b["ms"][k]

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityMap
+from .density import DensityMap, run_in_bands
 from .errors import DataError, ParameterError
 
 # Neighbor offsets (dx, dy) in increasing linear-index order (dy*width + dx).
@@ -40,6 +40,9 @@ _FORWARD_OFFSETS = {
     4: ((1, 0), (0, 1)),
     8: ((1, 0), (-1, 1), (0, 1), (1, 1)),
 }
+
+# initial_clusters finds densest neighbors this many rows at a time
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -326,12 +329,18 @@ def _group_min(group: np.ndarray, n: int, key: np.ndarray,
 
 def _roots(parent: np.ndarray) -> np.ndarray:
     """The root of every node of a forest whose roots are their own parent,
-    by pointer jumping: each round halves every remaining path."""
-    while True:
-        grand = parent[parent]
-        if np.array_equal(grand, parent):
-            return parent
-        parent = grand
+    by pointer jumping: each round halves every remaining path. Rounds run
+    in bands and alternate between two arrays, so parent may be overwritten."""
+    grand = np.empty_like(parent)
+
+    def jump(band: slice) -> bool:
+        # every index is in range; "clip" spares the buffered copy of "raise"
+        np.take(parent, parent[band], out=grand[band], mode="clip")
+        return np.array_equal(grand[band], parent[band])
+
+    while not all(run_in_bands(parent.size, jump)):
+        parent, grand = grand, parent
+    return parent
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -418,13 +427,6 @@ class ClusterGraph:
             ids.tolist(), x.tolist(), y.tolist(), self.peak_density[ids].tolist(),
             self.area[ids].tolist())}
 
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {cid: [] for cid in self.nodes}
-        for a, b in zip(self.edges.a.tolist(), self.edges.b.tolist()):
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
 
 def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     """Group positive-density pixels by the local maximum they climb to.
@@ -441,29 +443,52 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     n = h * w
     offsets = NEIGHBOR_OFFSETS[connectivity]
     deltas = np.array([dy * w + dx for dx, dy in offsets], dtype=np.int64)
-
-    # densest neighbor per pixel, first (= smallest linear index) on ties;
     # beyond the border the padded density is -inf, which never wins
     pad = np.pad(d, 1, constant_values=-np.inf)
-    best_d = np.full((h, w), -np.inf)
-    best_k = np.zeros((h, w), dtype=np.int8)
-    for k, (dx, dy) in enumerate(offsets):
-        nb = pad[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
-        better = nb > best_d
-        np.copyto(best_d, nb, where=better)
-        np.copyto(best_k, np.int8(k), where=better)
+    fg = np.empty(n, dtype=bool)
+    root = np.empty(n, dtype=bool)
+    par = np.empty(n, dtype=np.int64)
 
-    flat_d = d.ravel()
-    self_idx = np.arange(n, dtype=np.int64)
-    par = self_idx.copy()
-    link = np.flatnonzero((flat_d > 0) & (best_d.ravel() >= flat_d))
-    par[link] = link + deltas[best_k.ravel()[link]]
+    def link(rows: slice) -> list[np.ndarray]:
+        """Point each pixel of the rows at its densest neighbor, first (=
+        smallest linear index) on ties, if that is at least as dense; return
+        the pixels whose densest neighbor is exactly as dense."""
+        ties = []
+        # a block of rows at a time, so that its arrays stay in cache
+        for y0 in range(rows.start, rows.stop, _BLOCK_ROWS):
+            y1 = min(y0 + _BLOCK_ROWS, rows.stop)
+            nbs = [pad[1 + dy + y0:1 + dy + y1, 1 + dx:1 + dx + w] for dx, dy in offsets]
+            best_d = nbs[0].copy()
+            best_k = np.zeros(best_d.shape, dtype=np.int8)
+            better = np.empty(best_d.shape, dtype=bool)
+            for k in range(1, len(nbs)):
+                np.greater(nbs[k], best_d, out=better)
+                np.maximum(best_d, nbs[k], out=best_d)
+                # best_k = k where better: arithmetic, as masked copies
+                # branch on every pixel of a rough map
+                best_k *= ~better
+                best_k += better * np.int8(k)
+            own = d[y0:y1]
+            pos = own > 0
+            up = pos & (best_d >= own)
+            block = slice(y0 * w, y1 * w)
+            fg[block] = pos.ravel()
+            root[block] = (pos & ~up).ravel()
+            step = np.take(deltas, best_k.ravel())
+            step *= up.ravel()
+            np.add(step, np.arange(y0 * w, y1 * w, dtype=np.int64), out=par[block])
+            ties.append(np.flatnonzero(pos & (best_d == own)) + y0 * w)
+        return ties
 
-    # Mutual links only occur between two equal-density pixels; promote the
-    # smaller index to root so every set becomes a rooted tree.
-    two_cycle = (par[par] == self_idx) & (par != self_idx)
-    promote = two_cycle & (self_idx < par)
-    par[promote] = self_idx[promote]
+    ties = np.concatenate([t for band in run_in_bands(h, link, w) for t in band])
+    # Mutual links need equal densities, as each pixel is at least as dense
+    # as the other, so only pixels whose densest neighbor is exactly as dense
+    # can be in a two-cycle. Promote the smaller index of each to root so
+    # every set becomes a rooted tree.
+    to = par[ties]
+    promote = ties[(par[to] == ties) & (ties < to)]
+    par[promote] = promote
+    root[promote] = True
 
     # The links now form a forest: a longer cycle would have equal densities
     # throughout, where two steps always lead to a smaller index because
@@ -471,16 +496,29 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     # log2 of the longest uphill chain rounds, plus one.
     par = _roots(par)
 
-    fg = np.flatnonzero(flat_d > 0)
-    roots = par[fg]
-    mark = np.zeros(n, dtype=bool)
-    mark[roots] = True
-    uniq = np.flatnonzero(mark)
-    lut = np.full(n, -1, dtype=np.int32)
-    lut[uniq] = np.arange(uniq.size, dtype=np.int32)
-    ids = np.full(n, -1, dtype=np.int32)
-    ids[fg] = lut[roots]
-    return ClusterMap(ids.reshape(h, w), peak_hint=uniq)
+    # the roots numbered in scan order: rank counts the roots up to each
+    # pixel, band by band, then across bands
+    rank = np.empty(n, dtype=np.int32)
+
+    def mark(rows: slice) -> tuple[slice, np.ndarray]:
+        band = slice(rows.start * w, rows.stop * w)
+        np.cumsum(root[band], dtype=np.int32, out=rank[band])
+        return band, np.flatnonzero(root[band]) + band.start
+
+    marked = run_in_bands(h, mark, w)
+    below = -1
+    for band, found in marked:
+        rank[band] += below
+        below += found.size
+    ids = np.empty(n, dtype=np.int32)
+
+    def label(rows: slice) -> None:
+        band = slice(rows.start * w, rows.stop * w)
+        ids[band] = np.where(fg[band], rank[par[band]], -1)
+
+    run_in_bands(h, label, w)
+    return ClusterMap(ids.reshape(h, w),
+                      peak_hint=np.concatenate([found for _, found in marked]))
 
 
 def _boundary_edges(d: np.ndarray, ids2: np.ndarray, peak_lin: np.ndarray,
@@ -590,6 +628,7 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     heap = [(min(dist[r]), ea[r], eb[r], r)
             for r in np.flatnonzero(e.dist.min(axis=1) <= limit).tolist()]
     heapq.heapify(heap)
+    merges = bool(heap)  # the first entry popped always merges
 
     # each id's parent in the merge forest, whose roots are the survivors
     lut = np.arange(graph.peak.size, dtype=np.int32)
@@ -658,7 +697,9 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
         np.array(maxd, dtype=np.float64)[rows],
         np.array(dist, dtype=np.float64).reshape(-1, 2)[rows],
         np.array(pix, dtype=np.int64).reshape(-1, 2)[rows])
-    new_cmap = ClusterMap(np.where(cmap.ids >= 0, lut[cmap.ids], -1))
+    # without merges every id maps to itself
+    new_cmap = ClusterMap(np.where(cmap.ids >= 0, lut[cmap.ids], -1) if merges
+                          else cmap.ids)
     return ClusterGraph(w, peak, peak_density, area, out_edges), new_cmap
 
 

@@ -7,6 +7,7 @@ viewport. Density values are stored row-major, index = y * width + x.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -82,12 +83,6 @@ class Viewport:
     def sy(self) -> float:
         return (self.y_max - self.y_min) / self.height
 
-    def pixel_to_data_x(self, px) -> float:
-        return self.x_min + px * self.sx
-
-    def pixel_to_data_y(self, py) -> float:
-        return self.y_min + py * self.sy
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -95,6 +90,43 @@ class Viewport:
     def from_dict(cls, d: dict) -> "Viewport":
         return cls(d["x_min"], d["x_max"], d["y_min"], d["y_max"],
                    int(d["width"]), int(d["height"]))
+
+
+# Below this many array elements a band costs more in thread start-up and
+# hand-over than it saves.
+_MIN_BAND_ELEMENTS = 1 << 16
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def run_in_bands(n: int, fn, item_size: int = 1) -> list:
+    """fn(band) for contiguous slices that split range(n), in order; returns
+    their results.
+
+    There is one band per usable CPU, as long as each band keeps at least
+    _MIN_BAND_ELEMENTS array elements (item_size per item of range(n)) and
+    one item. Bands after the first run on threads that end before the call
+    returns; an exception raised in any band reaches the caller. fn must
+    write only inside its own band, so that the result does not depend on
+    the count.
+    """
+    count = max(1, min(n, usable_cpus(), n * item_size // _MIN_BAND_ELEMENTS))
+    cuts = [n * i // count for i in range(count + 1)]
+    bands = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    if count == 1:
+        return [fn(bands[0])]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(count - 1) as pool:
+        rest = [pool.submit(fn, band) for band in bands[1:]]
+        first = fn(bands[0])
+        return [first] + [future.result() for future in rest]
 
 
 def _check_addressable(count: int, what: str) -> None:
@@ -227,8 +259,15 @@ def smooth(counts: DensityMap, bandwidth_px: float) -> DensityMap:
     from scipy.ndimage import convolve1d
 
     k = gaussian_kernel(bandwidth_px)
-    out = convolve1d(counts.values, k, axis=1, mode="constant", cval=0.0)
-    out = convolve1d(out, k, axis=0, mode="constant", cval=0.0)
+    values = counts.values
+    h, w = values.shape
+    rows, out = np.empty_like(values), np.empty_like(values)
+    # the x pass in bands of rows, the y pass in bands of columns; each
+    # element is computed as a whole-grid pass would compute it
+    run_in_bands(h, lambda band: convolve1d(
+        values[band], k, axis=1, mode="constant", cval=0.0, output=rows[band]), w)
+    run_in_bands(w, lambda band: convolve1d(
+        rows[:, band], k, axis=0, mode="constant", cval=0.0, output=out[:, band]), h)
     return DensityMap(counts.viewport, out)
 
 

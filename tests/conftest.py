@@ -1,10 +1,12 @@
 """Shared fixtures and brute-force helpers for the test suite."""
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from densitycluster import density
 from densitycluster.clustering import (NEIGHBOR_OFFSETS, ClusterMap,
                                        ClusterNode, ClusterParams)
 from densitycluster.density import (DensityMap, PointBatch, Viewport,
@@ -75,6 +77,36 @@ def uniform_map(seed: int, size: int, per_pixel: float,
     batch = PointBatch(rng.uniform(0, size, n), rng.uniform(0, size, n), np.ones(n))
     vp = Viewport(0.0, float(size), 0.0, float(size), size, size)
     return smooth(bin_points(batch, vp), bandwidth)
+
+
+def plateau_map(seed: int, h: int, w: int, levels: int = 3) -> DensityMap:
+    """Densities 0..levels drawn per pixel: plateaus, background holes and
+    equally dense neighbors that are each other's densest (two-cycles)."""
+    vals = np.random.default_rng(seed).integers(0, levels + 1, (h, w)).astype(float)
+    return DensityMap(Viewport(0, w, 0, h, w, h), vals)
+
+
+# grid shapes for band tests: fewer rows or columns than 7 bands, and maps
+# whose bands are a few rows wide
+BAND_SHAPES = ((1, 9), (6, 1), (2, 30), (5, 13), (41, 37), (64, 23))
+
+
+@pytest.fixture
+def band_count(monkeypatch):
+    """Sets how many bands run_in_bands splits its work into, however little
+    work there is; a shortened switch interval makes the band threads
+    interleave often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+
+    def set_count(count: int) -> None:
+        monkeypatch.setattr(density, "usable_cpus", lambda: count)
+        monkeypatch.setattr(density, "_MIN_BAND_ELEMENTS", 1)
+
+    try:
+        yield set_count
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.fixture(scope="session")

@@ -194,8 +194,8 @@ def test_criterion_08_label_recovery():
               ctfidf_labels(assignment, batch.texts, k=3)}
     hits = 0
     for cid, node in graph.nodes.items():
-        px = vp.pixel_to_data_x(node.peak_xy[0] + 0.5)
-        py = vp.pixel_to_data_y(node.peak_xy[1] + 0.5)
+        px = vp.x_min + (node.peak_xy[0] + 0.5) * vp.sx
+        py = vp.y_min + (node.peak_xy[1] + 0.5) * vp.sy
         planted = topics[int(np.argmin(np.hypot(mix.centers[:, 0] - px,
                                                 mix.centers[:, 1] - py)))]
         assert labels[cid].top_terms[0][0] == planted, (cid, labels[cid])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 from collections import deque
 from dataclasses import replace
 
@@ -12,13 +13,14 @@ from densitycluster.clustering import (NEIGHBOR_OFFSETS, ClusterMap,
                                        build_neighborhood_graph,
                                        cluster_density_map, initial_clusters,
                                        truncate_clusters, union_clusters)
-from densitycluster.density import DensityMap, Viewport
+from densitycluster import density
+from densitycluster.density import DensityMap, Viewport, run_in_bands, smooth
 from densitycluster.errors import DataError, ParameterError
 from densitycluster.oracles import flood_fill_components, steepest_ascent_oracle
 
-from conftest import (assert_columns_match_nodes, brute_boundary_stats, dumbbell,
-                      gaussian_map, naive_union, noisy_map, three_blob,
-                      two_gauss_far, two_gauss_near, typed_nodes)
+from conftest import (BAND_SHAPES, assert_columns_match_nodes, brute_boundary_stats,
+                      dumbbell, gaussian_map, naive_union, noisy_map, plateau_map,
+                      three_blob, two_gauss_far, two_gauss_near, typed_nodes)
 
 
 def _dm(vals) -> DensityMap:
@@ -80,6 +82,52 @@ def test_initial_deterministic():
     a = initial_clusters(dm)
     b = initial_clusters(dm)
     assert np.array_equal(a.ids, b.ids)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_initial_band_count_invariant(band_count, connectivity):
+    # plateaus put two-cycles and tie pixels on both sides of band edges
+    for seed, shape in enumerate(BAND_SHAPES):
+        dm = plateau_map(seed, *shape)
+        band_count(1)
+        ref = initial_clusters(dm, connectivity)
+        for count in (2, 3, 7):
+            band_count(count)
+            got = initial_clusters(dm, connectivity)
+            assert got.ids.tobytes() == ref.ids.tobytes(), (shape, count)
+            assert got.peak_hint.tobytes() == ref.peak_hint.tobytes(), (shape, count)
+
+
+def test_pipeline_band_count_invariant_at_default_band_size(monkeypatch):
+    # 400 x 400 pixels is large enough for two bands of the default size
+    dm = smooth(plateau_map(7, 400, 400, levels=1), 1.0)
+    results = []
+    for count in (1, 2, 3):
+        monkeypatch.setattr(density, "usable_cpus", lambda: count)
+        cmap, graph = cluster_density_map(dm)
+        results.append((cmap.ids.tobytes(), typed_nodes(graph.nodes)))
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+def test_band_errors_reach_caller_and_no_thread_outlives_a_call(band_count):
+    band_count(3)
+    before = threading.active_count()
+
+    def fail_in(stop):
+        def fn(band):
+            if band.stop == stop:
+                raise ValueError(f"band ending at {stop}")
+        return fn
+
+    for stop in (3, 6, 9):  # the first band runs on the calling thread
+        with pytest.raises(ValueError, match=f"band ending at {stop}"):
+            run_in_bands(9, fail_in(stop))
+        assert threading.active_count() == before
+    dm = plateau_map(3, 64, 23)
+    smooth(dm, 2.0)
+    assert threading.active_count() == before
+    cluster_density_map(dm)
+    assert threading.active_count() == before
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from densitycluster.density import (DensityMap, PointBatch, Viewport,
                                     auto_viewport, bin_points, gaussian_kernel,
-                                    smooth)
+                                    run_in_bands, smooth)
 from densitycluster.errors import DataError, NoDataError, ParameterError
 from densitycluster.oracles import dense_convolution_oracle
+
+from conftest import BAND_SHAPES, plateau_map
 
 
 def _batch(xs, ys, weights=None):
@@ -49,7 +51,7 @@ def test_auto_viewport_pixel_step_bound(axis):
         return auto_viewport(_batch(xs, ys), 4, 4, 0.0)
 
     vp = viewport(33)
-    edges = [vp.pixel_to_data_x(p) if axis == "x" else vp.pixel_to_data_y(p)
+    edges = [vp.x_min + p * vp.sx if axis == "x" else vp.y_min + p * vp.sy
              for p in range(5)]
     assert edges == sorted(set(edges))
     with pytest.raises(DataError, match="too narrow"):
@@ -202,3 +204,23 @@ def test_density_map_validation():
         DensityMap(vp, np.array([[0.0, 1.0], [np.nan, 0.0]]))
     with pytest.raises(DataError):
         DensityMap(vp, np.array([[0.0, 1.0], [-0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("bandwidth", [0.5, 1.0, 2.5, 10.0])
+def test_smooth_band_count_invariant(band_count, bandwidth):
+    # at bandwidth 10 the kernel has 81 taps, far wider than any band here
+    for seed, shape in enumerate(BAND_SHAPES):
+        dm = plateau_map(seed, *shape)
+        band_count(1)
+        ref = smooth(dm, bandwidth).values.tobytes()
+        for count in (2, 3, 7):
+            band_count(count)
+            assert smooth(dm, bandwidth).values.tobytes() == ref, (shape, count)
+
+
+def test_run_in_bands_splits_in_order(band_count):
+    band_count(3)
+    assert run_in_bands(10, lambda b: (b.start, b.stop)) == [(0, 3), (3, 6), (6, 10)]
+    band_count(7)
+    assert run_in_bands(2, lambda b: (b.start, b.stop)) == [(0, 1), (1, 2)]
+    assert run_in_bands(0, lambda b: (b.start, b.stop)) == [(0, 0)]

@@ -315,7 +315,8 @@ def test_color_corpus_no_conflicts_with_big_palette(fixture_corpus):
         cmap, graph = cluster_density_map(dm, params)
         if not graph.nodes:
             continue
-        max_degree = max(map(len, graph.adjacency().values()), default=0)
+        max_degree = int(np.bincount(np.concatenate((graph.edges.a, graph.edges.b)),
+                                     minlength=1).max())
         colors = color_clusters(graph, max(max_degree + 1, 1))
         assert count_color_conflicts(graph, colors) == 0, name
         colors10 = color_clusters(graph, 10)
