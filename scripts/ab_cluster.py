@@ -14,7 +14,11 @@ repository root (git-ignored).
 Each run is a fresh interpreter that imports `densitycluster` from one tree's
 `src/`, runs `cluster` in-process once to warm up, then once timed, with
 every layer function below wrapped to sum its calls' wall time (inclusive
-of the layers it calls). Pairs alternate which tree runs first. The last
+of the layers it calls). The map tables have two layers of their own: the
+row-run scanner (`clustering._scan_runs`, or `_runs` in trees without it),
+which every run, side and truncation scan goes through, and
+`clustering.ClusterMap._trace_rings`, which includes the boundary segment
+table it reads. Pairs alternate which tree runs first. The last
 line printed is JSON: per-layer medians in ms for each tree, how many pairs
 the change (`--change`, default this checkout) was faster in, the cluster
 count of each tree's document, and the number of CPUs the runs could use
@@ -43,10 +47,13 @@ LAYERS = {
     "io": ("load_points", "cluster_document", "write_json"),
     "density": ("auto_viewport", "bin_points", "smooth"),
     "clustering": ("initial_clusters", "build_neighborhood_graph",
-                   "union_clusters", "truncate_clusters"),
+                   "union_clusters", "truncate_clusters", "_scan_runs",
+                   "ClusterMap._trace_rings"),
     "geometry": ("shape_for_cluster", "to_data_space", "color_clusters",
                  "count_color_conflicts"),
 }
+# a layer's function under its former name, timed in trees that predate it
+FORMER = {"clustering._scan_runs": "_runs"}
 OUTPUT = ("geometry.shape_for_cluster", "geometry.to_data_space",
           "io.cluster_document", "io.write_json")
 
@@ -77,9 +84,16 @@ def child(src: str, csv: str, out: str) -> None:
     wrapped = {}
     for mod, funcs in LAYERS.items():
         for func in funcs:
-            fn = getattr(sys.modules[f"densitycluster.{mod}"], func, None)
+            name = f"{mod}.{func}"
+            owner = sys.modules[f"densitycluster.{mod}"]
+            if "." in func:  # a method: wrapped on its class
+                cls, func = func.split(".")
+                owner = getattr(owner, cls)
+                setattr(owner, func, timed(name, getattr(owner, func)))
+                continue
+            fn = getattr(owner, func, None) or getattr(owner, FORMER.get(name, ""), None)
             if fn is not None:
-                wrapped[id(fn)] = timed(f"{mod}.{func}", fn)
+                wrapped[id(fn)] = timed(name, fn)
     for name, module in list(sys.modules.items()):
         if name.startswith("densitycluster."):
             namespace = vars(module)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityMap, run_in_bands
+from .density import DensityMap, run_in_bands, run_in_blocks
 from .errors import DataError, ParameterError
 
 # Neighbor offsets (dx, dy) in increasing linear-index order (dy*width + dx).
@@ -120,7 +120,7 @@ class ClusterMap:
         Background runs are excluded. Runs are sorted by (val, row, x0), so
         the runs of one cluster form one contiguous slice.
         """
-        return _runs(self.ids)
+        return _row_runs(self.ids)
 
     @cached_property
     def boundary(self) -> tuple[np.ndarray, ...]:
@@ -136,18 +136,12 @@ class ClusterMap:
         """
         ids2 = self.ids
         h, w = ids2.shape
-        pad = np.pad(ids2, 1, constant_values=-1)
-
-        def side_runs(other, transpose):
-            # runs of ids where the neighbour across the side differs; the
-            # vertical sides run down the columns of the transposed map
-            side = np.where(ids2 != other, ids2, -1)
-            return _runs(side.T if transpose else side)
-
-        v0, r0, a0, b0 = side_runs(pad[:-2, 1:-1], False)  # bottom sides, +x
-        v1, c1, a1, b1 = side_runs(pad[1:-1, 2:], True)    # right sides, +y
-        v2, r2, a2, b2 = side_runs(pad[2:, 1:-1], False)   # top sides, -x
-        v3, c3, a3, b3 = side_runs(pad[1:-1, :-2], True)   # left sides, -y
+        # the vertical sides run along the rows of the transposed map
+        cols = np.ascontiguousarray(ids2.T)
+        v0, r0, a0, b0 = _row_runs(ids2, -1)  # bottom sides, +x
+        v1, c1, a1, b1 = _row_runs(cols, 1)   # right sides, +y
+        v2, r2, a2, b2 = _row_runs(ids2, 1)   # top sides, -x
+        v3, c3, a3, b3 = _row_runs(cols, -1)  # left sides, -y
         val = np.concatenate((v0, v1, v2, v3))
         direction = np.repeat(np.arange(4, dtype=np.int8),
                               (v0.size, v1.size, v2.size, v3.size))
@@ -284,25 +278,47 @@ def _spans(val: np.ndarray) -> dict[int, tuple[int, int]]:
     return dict(zip(val[starts].tolist(), zip(starts, cut + [val.size])))
 
 
-def _runs(ids2: np.ndarray):
-    """ClusterMap.runs of a 2D id array."""
-    h, w = ids2.shape
-    change_y, change_x = np.nonzero(ids2[:, 1:] != ids2[:, :-1])
-    runs_per_row = np.bincount(change_y, minlength=h) + 1
-    bounds = np.zeros(h + 1, dtype=np.int64)
-    np.cumsum(runs_per_row, out=bounds[1:])
-    x0 = np.zeros(bounds[-1], dtype=np.int64)
-    is_first = np.zeros(bounds[-1], dtype=bool)
-    is_first[bounds[:-1]] = True
-    x0[~is_first] = change_x + 1
-    row = np.repeat(np.arange(h, dtype=np.int64), runs_per_row)
-    x1 = np.empty_like(x0)
-    x1[:-1] = x0[1:]
-    x1[bounds[1:] - 1] = w
-    val = ids2[row, x0].astype(np.int64)
+def _scan_runs(h: int, w: int, block_ids) -> tuple[np.ndarray, ...]:
+    """ClusterMap.runs of an (h, w) id map whose rows block_ids(rows) returns
+    for a slice of rows; each block of rows is scanned on its own."""
+
+    def scan(rows: slice) -> tuple[np.ndarray, ...]:
+        flat = block_ids(rows).ravel()
+        # a run starts at the first pixel of each row and wherever the id
+        # changes, and ends where the next run starts
+        start = np.empty(flat.size, dtype=bool)
+        start[:1] = True
+        np.not_equal(flat[1:], flat[:-1], out=start[1:])
+        start[::max(w, 1)] = True
+        first = np.flatnonzero(start)
+        row, x0 = np.divmod(first, w)
+        return flat[first], row + rows.start, x0, np.diff(first, append=flat.size)
+
+    val, row, x0, length = (np.concatenate(c) for c in zip(*run_in_blocks(h, scan, w)))
     keep = np.flatnonzero(val >= 0)
     order = keep[np.argsort(val[keep], kind="stable")]
-    return val[order], row[order], x0[order], x1[order]
+    x0 = x0[order]
+    return val[order].astype(np.int64), row[order], x0, x0 + length[order]
+
+
+def _row_runs(ids2: np.ndarray, dy: int = 0) -> tuple[np.ndarray, ...]:
+    """ClusterMap.runs of a 2D id array; with dy != 0, of the array in which
+    a pixel keeps its id only where the pixel dy rows away (-1 beyond the
+    edge) holds a different one: the runs of boundary sides."""
+    h, w = ids2.shape
+    if not dy:
+        return _scan_runs(h, w, lambda rows: ids2[rows])
+
+    def side(rows: slice) -> np.ndarray:
+        out = ids2[rows].copy()
+        # the rows whose row dy away exists
+        lo, hi = max(rows.start, -dy), min(rows.stop, h - dy)
+        if lo < hi:
+            np.copyto(out[lo - rows.start:hi - rows.start], -1,
+                      where=ids2[lo:hi] == ids2[lo + dy:hi + dy])
+        return out
+
+    return _scan_runs(h, w, side)
 
 
 def run_pixels(row: np.ndarray, x0: np.ndarray, x1: np.ndarray,
@@ -527,19 +543,29 @@ def _boundary_edges(d: np.ndarray, ids2: np.ndarray, peak_lin: np.ndarray,
     h, w = ids2.shape
     flat_d = d.ravel()
     n_ids = peak_lin.shape[0]
-    # beyond the border the padded ids are -1, which matches no cluster
-    pad = np.pad(ids2, 1, constant_values=-1)
+    offsets = _FORWARD_OFFSETS[connectivity]
 
-    la_l, lb_l = [], []
-    for dx, dy in _FORWARD_OFFSETS[connectivity]:
-        nb = pad[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
-        lin_a = np.flatnonzero((ids2 != nb) & (ids2 >= 0) & (nb >= 0))
-        la_l.append(lin_a)
-        lb_l.append(lin_a + (dy * w + dx))
-    lin_a = np.concatenate(la_l)
+    def pairs(rows: slice) -> list[np.ndarray]:
+        # the block and the row below it, padded with -1, which matches no
+        # cluster; every forward offset looks at most one row down
+        below = min(rows.stop + 1, h)
+        pad = np.full((rows.stop - rows.start + 1, w + 2), -1, dtype=ids2.dtype)
+        pad[:below - rows.start, 1:-1] = ids2[rows.start:below]
+        own = pad[:-1, 1:-1]
+        fg = own >= 0
+        found = []
+        for dx, dy in offsets:
+            nb = pad[dy:dy + own.shape[0], 1 + dx:1 + dx + w]
+            found.append(np.flatnonzero((own != nb) & fg & (nb >= 0)) + rows.start * w)
+        return found
+
+    # each offset's pixels in row order, as one whole-map scan lists them
+    blocks = run_in_blocks(h, pairs, w)
+    lin_a = np.concatenate([block[k] for k in range(len(offsets)) for block in blocks])
     if lin_a.size == 0:
         return ClusterEdges.empty()
-    lin_b = np.concatenate(lb_l)
+    lin_b = np.concatenate([block[k] + (dy * w + dx) for k, (dx, dy) in enumerate(offsets)
+                            for block in blocks])
     ai = ids2.ravel()[lin_a].astype(np.int64)
     bi = ids2.ravel()[lin_b].astype(np.int64)
     dmax = np.maximum(flat_d[lin_a], flat_d[lin_b])
@@ -582,13 +608,20 @@ def build_neighborhood_graph(density: DensityMap, cmap: ClusterMap,
 
     # each id's area and peak pixel: its densest, smallest linear index on
     # ties, unless a peak_hint gives one for every id
-    flat_ids = cmap.ids.ravel()
-    fg = np.flatnonzero(flat_ids >= 0)
-    area = np.bincount(flat_ids[fg], minlength=1)
+    def count(rows: slice) -> np.ndarray:
+        own = cmap.ids[rows]
+        return np.bincount(own[own >= 0], minlength=1)
+
+    counts = run_in_blocks(d.shape[0], count, d.shape[1])
+    area = np.zeros(max(c.size for c in counts), dtype=np.int64)
+    for c in counts:
+        area[:c.size] += c
     hint = cmap.peak_hint
     if hint is not None and hint.shape[0] == area.size:
         peak = hint.astype(np.int64)
     else:
+        flat_ids = cmap.ids.ravel()
+        fg = np.flatnonzero(flat_ids >= 0)
         _, peak = _group_min(flat_ids[fg], area.size, -d.ravel()[fg], fg)
     peak = np.where(area > 0, peak, -1)
     peak_density = np.where(area > 0, d.ravel()[peak], 0.0)
@@ -697,9 +730,16 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
         np.array(maxd, dtype=np.float64)[rows],
         np.array(dist, dtype=np.float64).reshape(-1, 2)[rows],
         np.array(pix, dtype=np.int64).reshape(-1, 2)[rows])
-    # without merges every id maps to itself
-    new_cmap = ClusterMap(np.where(cmap.ids >= 0, lut[cmap.ids], -1) if merges
-                          else cmap.ids)
+    ids = cmap.ids  # without merges every id maps to itself
+    if merges:
+        ids = np.empty_like(ids)
+
+        def remap(rows: slice) -> None:
+            own = cmap.ids[rows]
+            ids[rows] = np.where(own >= 0, lut[own], -1)
+
+        run_in_blocks(ids.shape[0], remap, ids.shape[1])
+    new_cmap = ClusterMap(ids)
     return ClusterGraph(w, peak, peak_density, area, out_edges), new_cmap
 
 
@@ -726,9 +766,15 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
     peak_density = np.where(killed, 0.0, graph.peak_density)
     thr = np.where(killed, np.inf, params.truncation_ratio * graph.peak_density)
 
-    # background stays -1 whatever threshold its -1 picks
-    new2d = np.where(d >= thr[ids2], ids2, -1)
-    val, row, x0, x1 = _runs(new2d)
+    new2d = np.empty((h, w), dtype=ids2.dtype)
+
+    def threshold(rows: slice) -> np.ndarray:
+        # background stays -1 whatever threshold its -1 picks
+        own = ids2[rows]
+        new2d[rows] = np.where(d[rows] >= thr[own], own, -1)
+        return new2d[rows]
+
+    val, row, x0, x1 = _scan_runs(h, w, threshold)
 
     # Same-cluster runs that touch in consecutive rows. Composite keys
     # (val*(h+1) + row)*(w+2) + x increase strictly over the run table, and

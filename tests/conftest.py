@@ -95,18 +95,55 @@ BAND_SHAPES = ((1, 9), (6, 1), (2, 30), (5, 13), (41, 37), (64, 23))
 def band_count(monkeypatch):
     """Sets how many bands run_in_bands splits its work into, however little
     work there is; a shortened switch interval makes the band threads
-    interleave often."""
+    interleave often. Above one band, run_in_blocks splits each band into
+    blocks of 64 elements (at least one row), so that a map's blocks are one
+    to a few rows tall; one band keeps the default, one block on small maps."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+    whole = density._BLOCK_ELEMENTS
 
     def set_count(count: int) -> None:
         monkeypatch.setattr(density, "usable_cpus", lambda: count)
         monkeypatch.setattr(density, "_MIN_BAND_ELEMENTS", 1)
+        monkeypatch.setattr(density, "_BLOCK_ELEMENTS", 64 if count > 1 else whole)
 
     try:
         yield set_count
     finally:
         sys.setswitchinterval(interval)
+
+
+def reference_runs(ids2: np.ndarray):
+    """ClusterMap.runs by one whole-map 2D np.nonzero scan; the reference for
+    the banded row-run scanner."""
+    h, w = ids2.shape
+    change_y, change_x = np.nonzero(ids2[:, 1:] != ids2[:, :-1])
+    runs_per_row = np.bincount(change_y, minlength=h) + 1
+    bounds = np.zeros(h + 1, dtype=np.int64)
+    np.cumsum(runs_per_row, out=bounds[1:])
+    x0 = np.zeros(bounds[-1], dtype=np.int64)
+    is_first = np.zeros(bounds[-1], dtype=bool)
+    is_first[bounds[:-1]] = True
+    x0[~is_first] = change_x + 1
+    row = np.repeat(np.arange(h, dtype=np.int64), runs_per_row)
+    x1 = np.empty_like(x0)
+    x1[:-1] = x0[1:]
+    x1[bounds[1:] - 1] = w
+    val = ids2[row, x0].astype(np.int64)
+    keep = np.flatnonzero(val >= 0)
+    order = keep[np.argsort(val[keep], kind="stable")]
+    return val[order], row[order], x0[order], x1[order]
+
+
+def reference_side_runs(ids2: np.ndarray, dx: int, dy: int):
+    """The runs of the pixels whose neighbour at (x + dx, y + dy), -1 beyond
+    the border, holds another id, from a whole-map np.where over a padded
+    copy. Sides across a column (dx != 0) run down the columns, as rows of
+    the transposed side map."""
+    h, w = ids2.shape
+    pad = np.pad(ids2, 1, constant_values=-1)
+    side = np.where(ids2 != pad[1 + dy:1 + dy + h, 1 + dx:1 + dx + w], ids2, -1)
+    return reference_runs(side.T if dx else side)
 
 
 @pytest.fixture(scope="session")

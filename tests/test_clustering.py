@@ -1,26 +1,30 @@
+import concurrent.futures
 import itertools
 import math
 import threading
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from densitycluster.clustering import (NEIGHBOR_OFFSETS, ClusterMap,
-                                       ClusterParams, _components,
+                                       ClusterParams, _components, _row_runs,
                                        build_neighborhood_graph,
                                        cluster_density_map, initial_clusters,
                                        truncate_clusters, union_clusters)
 from densitycluster import density
 from densitycluster.density import DensityMap, Viewport, run_in_bands, smooth
 from densitycluster.errors import DataError, ParameterError
+from densitycluster.geometry import color_clusters
+from densitycluster.io import cluster_document
 from densitycluster.oracles import flood_fill_components, steepest_ascent_oracle
 
 from conftest import (BAND_SHAPES, assert_columns_match_nodes, brute_boundary_stats,
                       dumbbell, gaussian_map, naive_union, noisy_map, plateau_map,
-                      three_blob, two_gauss_far, two_gauss_near, typed_nodes)
+                      reference_runs, reference_side_runs, three_blob,
+                      two_gauss_far, two_gauss_near, typed_nodes, uniform_map)
 
 
 def _dm(vals) -> DensityMap:
@@ -127,6 +131,131 @@ def test_band_errors_reach_caller_and_no_thread_outlives_a_call(band_count):
     smooth(dm, 2.0)
     assert threading.active_count() == before
     cluster_density_map(dm)
+    assert threading.active_count() == before
+
+
+def _exact(value):
+    """Every array in a value as (dtype, shape, bytes), with the types of
+    the other leaves, for byte-for-byte comparison."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if is_dataclass(value):
+        return _exact([getattr(value, f.name) for f in fields(value)
+                       if not f.name.startswith("_")])
+    if isinstance(value, (tuple, list)):
+        return type(value), [_exact(v) for v in value]
+    if isinstance(value, dict):
+        return [(type(k), k, _exact(v)) for k, v in value.items()]
+    return type(value), value
+
+
+def _band_maps():
+    """(density, ids) pairs over BAND_SHAPES: plateau clusters, and ids
+    drawn per pixel, whose clusters are scattered and full of holes."""
+    for seed, shape in enumerate(BAND_SHAPES):
+        dm = plateau_map(seed, *shape)
+        yield dm, initial_clusters(dm, 4).ids
+        yield dm, np.random.default_rng(seed).integers(-1, 4, shape).astype(np.int32)
+
+
+def test_map_tables_band_count_invariant(band_count):
+    def tables(ids):
+        cmap = ClusterMap(ids)  # a fresh map: the tables are cached per map
+        return _exact((cmap.runs, cmap.boundary, cmap.rings(4), cmap.rings(8),
+                       cmap.rects))
+
+    for _, ids in _band_maps():
+        band_count(1)
+        ref = tables(ids)
+        for count in (2, 3, 7):
+            band_count(count)
+            assert tables(ids) == ref, (ids.shape, count)
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_graph_band_count_invariant(band_count, connectivity):
+    for dm, _ in _band_maps():
+        band_count(1)
+        hinted = initial_clusters(dm, connectivity)
+        # with the hint, without one, and with one that does not fit the ids
+        maps = (hinted, ClusterMap(hinted.ids),
+                ClusterMap(hinted.ids, peak_hint=np.append(hinted.peak_hint, 0)))
+        ref = [_exact(build_neighborhood_graph(dm, cmap, connectivity)) for cmap in maps]
+        for count in (2, 3, 7):
+            band_count(count)
+            got = [_exact(build_neighborhood_graph(dm, cmap, connectivity)) for cmap in maps]
+            assert got == ref, (dm.values.shape, count)
+
+
+@pytest.mark.parametrize("params", [
+    ClusterParams(connectivity=4, truncation_ratio=0.5, merge_distance_px=2.0),
+    ClusterParams(truncation_ratio=0.4, merge_distance_px=0.0, min_peak_density=2.0)])
+def test_union_and_truncate_band_count_invariant(band_count, params):
+    merges = kills = 0
+    for dm, _ in _band_maps():
+        band_count(1)
+        cmap = initial_clusters(dm, params.connectivity)
+        graph = build_neighborhood_graph(dm, cmap, params.connectivity)
+        merged = union_clusters(graph, cmap, params)
+        ref = [_exact((g, m.ids)) for g, m in
+               (merged, truncate_clusters(dm, merged[1], merged[0], params))]
+        merges += len(merged[0].nodes) < len(graph.nodes)
+        kills += bool((merged[0].peak_density[merged[0].peak >= 0]
+                       <= params.min_peak_density).any())
+        for count in (2, 3, 7):
+            band_count(count)
+            again = union_clusters(graph, cmap, params)
+            got = [_exact((g, m.ids)) for g, m in
+                   (again, truncate_clusters(dm, merged[1], merged[0], params))]
+            assert got == ref, (dm.values.shape, count)
+    assert merges and (kills or params.min_peak_density == 0)
+
+
+@st.composite
+def _id_maps(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["mixed", "background", "one id", "few ids"]))
+    if kind == "background":
+        return np.full((h, w), -1, dtype=np.int32)
+    if kind == "one id":
+        return np.full((h, w), draw(st.integers(0, 5)), dtype=np.int32)
+    top = 1 if kind == "few ids" else 6
+    cells = draw(st.lists(st.integers(-1, top), min_size=h * w, max_size=h * w))
+    return np.array(cells, dtype=np.int32).reshape(h, w)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_id_maps(), st.sampled_from([1, 2, 3, 7]))
+def test_row_runs_match_whole_map_reference(band_count, ids, count):
+    band_count(count)
+    cols = np.ascontiguousarray(ids.T)
+    assert _exact(_row_runs(ids)) == _exact(reference_runs(ids))
+    for dy in (-1, 1):
+        assert _exact(_row_runs(ids, dy)) == _exact(reference_side_runs(ids, 0, dy)), dy
+        # sides across a column: the rows of the transposed map
+        assert _exact(_row_runs(cols, dy)) == _exact(reference_side_runs(ids, dy, 0)), dy
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_many_cluster_grid_starts_no_thread(monkeypatch, cpus):
+    # 250 x 250, as the many-clusters benchmark map, is below two bands of
+    # the smallest band size, so every pass runs on the calling thread
+    dm = uniform_map(3, 250, 0.2, 1.0)
+    monkeypatch.setattr(density, "usable_cpus", lambda: cpus)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(AssertionError, match="thread pool"):
+        run_in_bands(512, lambda band: None, 256)  # two bands of 65,536
+    before = threading.active_count()
+    params = ClusterParams(merge_distance_px=0.0)
+    cmap, graph = cluster_density_map(dm, params)
+    assert len(graph.nodes) > 500
+    cmap.rings(4), cmap.rings(8), cmap.rects
+    cluster_document(dm.viewport, params, 1.0, cmap, graph, color_clusters(graph))
     assert threading.active_count() == before
 
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from densitycluster import density
 from densitycluster.density import (DensityMap, PointBatch, Viewport,
-                                    auto_viewport, bin_points, gaussian_kernel,
-                                    run_in_bands, smooth)
+                                    auto_viewport, bin_points, check_density_values,
+                                    gaussian_kernel, run_in_bands, run_in_blocks,
+                                    smooth)
 from densitycluster.errors import DataError, NoDataError, ParameterError
 from densitycluster.oracles import dense_convolution_oracle
 
@@ -216,6 +218,31 @@ def test_smooth_band_count_invariant(band_count, bandwidth):
         for count in (2, 3, 7):
             band_count(count)
             assert smooth(dm, bandwidth).values.tobytes() == ref, (shape, count)
+
+
+def test_check_density_values_reports_non_finite_first():
+    # a negative value at the start and a NaN at the end: the NaN is reported
+    for seed, shape in enumerate(BAND_SHAPES):
+        clean = plateau_map(seed, *shape).values
+        for values in (clean, clean.ravel()):
+            bad, negative = values.copy(), values.copy()
+            bad.flat[0] = negative.flat[0] = -1.0
+            bad.flat[-1] = np.nan
+            check_density_values(values)
+            with pytest.raises(DataError, match="must be finite"):
+                check_density_values(bad)
+            with pytest.raises(DataError, match="must be non-negative"):
+                check_density_values(negative)
+
+
+def test_run_in_blocks_splits_bands_in_order(band_count, monkeypatch):
+    band_count(3)
+    monkeypatch.setattr(density, "_BLOCK_ELEMENTS", 4)
+    # items of 2 elements: blocks of 2 items within bands of 3 or 4 items
+    assert run_in_blocks(10, lambda b: (b.start, b.stop), 2) == [
+        (0, 2), (2, 3), (3, 5), (5, 6), (6, 8), (8, 10)]
+    assert run_in_blocks(2, lambda b: (b.start, b.stop), 9) == [(0, 1), (1, 2)]
+    assert run_in_blocks(0, lambda b: (b.start, b.stop), 9) == [(0, 0)]
 
 
 def test_run_in_bands_splits_in_order(band_count):
