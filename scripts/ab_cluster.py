@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import hashlib
 import json
 import os
 import statistics
@@ -66,10 +67,25 @@ def write_points(seed: int, path: Path) -> None:
 
 
 def child(src: str, csv: str, out: str) -> None:
-    """One tree's timed run; prints {layer: ms} and the cluster count."""
+    """One tree's timed run; prints {layer: ms}, the cluster count, the
+    document's sha256 and union's counts."""
     sys.path.insert(0, src)
     import densitycluster.cli as cli
     totals = dict.fromkeys((f"{m}.{f}" for m, fs in LAYERS.items() for f in fs), 0.0)
+    union = {}
+
+    def count_union(fn):
+        # counted from the columns, outside the timed call
+        @functools.wraps(fn)
+        def wrapper(graph, *args, **kwargs):
+            result = fn(graph, *args, **kwargs)
+            nodes_in = int((graph.peak >= 0).sum())
+            nodes_out = int((result[0].peak >= 0).sum())
+            union.update(nodes_in=nodes_in, nodes_out=nodes_out,
+                         edges_in=len(graph.edges), edges_out=len(result[0].edges),
+                         merges=nodes_in - nodes_out)
+            return result
+        return wrapper
 
     def timed(name, fn):
         @functools.wraps(fn)
@@ -94,6 +110,8 @@ def child(src: str, csv: str, out: str) -> None:
             fn = getattr(owner, func, None) or getattr(owner, FORMER.get(name, ""), None)
             if fn is not None:
                 wrapped[id(fn)] = timed(name, fn)
+                if func == "union_clusters":
+                    wrapped[id(fn)] = count_union(wrapped[id(fn)])
     for name, module in list(sys.modules.items()):
         if name.startswith("densitycluster."):
             namespace = vars(module)
@@ -115,11 +133,12 @@ def child(src: str, csv: str, out: str) -> None:
             sys.stdout = stdout
     if rc != 0:
         raise SystemExit(f"cluster exited {rc}")
-    with open(out, encoding="utf-8") as fh:
-        clusters = fh.read().count('{"id":')
+    with open(out, "rb") as fh:
+        data = fh.read()
     ms = {k: v * 1000.0 for k, v in totals.items()}
     ms["output_ms"] = sum(ms[k] for k in OUTPUT)
-    print(json.dumps({"ms": ms, "clusters": clusters}))
+    print(json.dumps({"ms": ms, "clusters": data.count(b'{"id":'),
+                      "sha256": hashlib.sha256(data).hexdigest(), "union": union}))
 
 
 def run(tree: Path, csv: Path, out: Path) -> dict:
@@ -159,7 +178,9 @@ def main() -> int:
     layers = list(runs["base"][0]["ms"])
     result = {
         "workload": {"points": POINTS, "grid": GRID, "seed": args.seed, "flags": FLAGS,
-                     "clusters": {s: runs[s][0]["clusters"] for s in runs}},
+                     "clusters": {s: runs[s][0]["clusters"] for s in runs},
+                     "sha256": {s: sorted({r["sha256"] for r in runs[s]}) for s in runs},
+                     "union": {s: runs[s][0]["union"] for s in runs}},
         "pairs": args.pairs,
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                        else os.cpu_count(),

@@ -639,104 +639,145 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     smaller id); coalesced edges sum boundary counts, keep the max boundary
     density, and re-measure distances against the surviving peak using each
     edge's retained nearest boundary pixels.
+
+    The output columns start as copies of the input's, and a merge rewrites
+    only the rows it reaches: each other row of the absorbed cluster either
+    becomes the survivor's row with that neighbour, in place, or folds into
+    the row the survivor already has with it.
     """
     w = graph.width
-    peaks, densities = graph.peak.tolist(), graph.peak_density.tolist()
-    # the edge columns as lists; a merge kills rows and appends new ones
     e = graph.edges
-    ea, eb = e.a.tolist(), e.b.tolist()
-    count, maxd = e.count.tolist(), e.max_density.tolist()
-    dist, pix = e.dist.tolist(), e.pixel.tolist()
-    alive = [True] * len(ea)
-    # id -> {neighbor id: row of the pair}
-    adj: dict[int, dict[int, int]] = {
-        cid: {} for cid in np.flatnonzero(graph.peak >= 0).tolist()}
-    for r, (a, b) in enumerate(zip(ea, eb)):
-        adj[a][b] = adj[b][a] = r
-
-    # entries (score, a, b, row) of the rows that can merge; one is stale
-    # once its row is dead or its score is no longer the row's. A row's
-    # score never rises, so rows above the limit never need an entry.
+    m, n_ids = len(e), graph.peak.size
     limit = params.merge_distance_px
-    heap = [(min(dist[r]), ea[r], eb[r], r)
-            for r in np.flatnonzero(e.dist.min(axis=1) <= limit).tolist()]
-    heapq.heapify(heap)
-    merges = bool(heap)  # the first entry popped always merges
-
+    count, max_density = e.count.astype(np.int64), e.max_density.astype(np.float64)
+    dist = e.dist.astype(np.float64, order="C")
+    pixel = e.pixel.astype(np.int64, order="C")
+    score = np.minimum(dist[:, 0], dist[:, 1])
+    ready = np.flatnonzero(score <= limit)
     # each id's parent in the merge forest, whose roots are the survivors
-    lut = np.arange(graph.peak.size, dtype=np.int32)
-    while heap:
-        score, a, b, r = heapq.heappop(heap)
-        if not alive[r] or score != min(dist[r]):
-            continue
-        alive[r] = False
+    lut = np.arange(n_ids, dtype=np.int32)
+    alive = [True] * m
+    folds: list[int] = []  # each folded row, then the row it went into
+    if ready.size:
+        peaks, densities = memoryview(graph.peak), memoryview(graph.peak_density)
+        # row r's side s at 2r + s, written straight into the columns
+        d, p = memoryview(dist.reshape(-1)), memoryview(pixel.reshape(-1))
+        # every id's neighbours (one CSR), and each pair's row by the key
+        # a * n_ids + b
+        ends = np.concatenate((e.a, e.b))
+        nbr = np.concatenate((e.b, e.a))[np.argsort(ends, kind="stable")].tolist()
+        stop = np.cumsum(np.bincount(ends, minlength=n_ids)).tolist()
+        near = [nbr[s:t] for s, t in zip([0] + stop, stop)]
+        row_of = dict(zip((e.a * n_ids + e.b).tolist(), range(m)))
 
-        # higher peak wins, tie -> smaller id
-        if (densities[a], -a) > (densities[b], -b):
-            surv, gone = a, b
-        else:
-            surv, gone = b, a
-        lut[gone] = surv
-        del adj[surv][gone]
-        gone_adj = adj.pop(gone)
-        del gone_adj[surv]
+        # entries (score, a, b, row) of the rows that can merge: those that
+        # can now, sorted to pop from the end, and a heap of those that get
+        # there later. A pair's score only falls, and each fall to the limit
+        # or below adds an entry, so a pair's lowest entry comes first: an
+        # entry is stale once one of its clusters has merged away.
+        ready = ready[np.lexsort((ready, e.b[ready], e.a[ready], score[ready]))[::-1]]
+        queue = list(zip(score[ready].tolist(), e.a[ready].tolist(),
+                         e.b[ready].tolist(), ready.tolist()))
+        heap: list[tuple[float, int, int, int]] = []
+        dead = [False] * n_ids
+        gone_ids: list[int] = []
+        surv_ids: list[int] = []
+        while queue or heap:
+            if heap and (not queue or heap[0] < queue[-1]):
+                _, a, b, r = heapq.heappop(heap)
+            else:
+                _, a, b, r = queue.pop()
+            if dead[a] or dead[b]:
+                continue
+            alive[r] = False
+            # higher peak wins, tie -> smaller id
+            da, db = densities[a], densities[b]
+            surv, gone = (a, b) if da > db or (da == db and a < b) else (b, a)
+            dead[gone] = True
+            gone_ids.append(gone)
+            surv_ids.append(surv)
+            near_surv = near[surv]
+            near_surv.remove(gone)
+            spy, spx = divmod(peaks[surv], w)
+            # distinct neighbours have distinct rows, so their order does not
+            # matter
+            for c in near[gone]:
+                if c == surv:
+                    continue
+                # gone's boundary pixel, re-measured from the surviving
+                # peak, and the neighbour's nearest (distance, pixel)
+                if c < gone:
+                    old = row_of[c * n_ids + gone]
+                    k = 2 * old
+                    g_pix, c_dist, c_pix = p[k + 1], d[k], p[k]
+                else:
+                    old = row_of[gone * n_ids + c]
+                    k = 2 * old
+                    g_pix, c_dist, c_pix = p[k], d[k + 1], p[k + 1]
+                gy, gx = divmod(g_pix, w)
+                g_dist = math.hypot(gx - spx, gy - spy)
+                # the (surv, c) pair's key, and the sides of surv and c
+                if surv < c:
+                    key, s, t = surv * n_ids + c, 0, 1
+                else:
+                    key, s, t = c * n_ids + surv, 1, 0
 
-        speak = peaks[surv]
-        spx, spy = speak % w, speak // w
-        for c in sorted(gone_adj):
-            old = gone_adj[c]
-            alive[old] = False
-            del adj[c][gone]
-            g = int(c < gone)  # the side of gone in the old row; c is 1 - g
-            # the absorbed side's boundary pixel, re-measured from the
-            # surviving peak
-            g_pix = pix[old][g]
-            cand_surv = (math.hypot(g_pix % w - spx, g_pix // w - spy), g_pix)
-            cand_other = (dist[old][1 - g], pix[old][1 - g])
-
-            new = adj[surv].get(c)
-            if new is None:  # no (surv, c) row yet: start an empty one
-                new = len(ea)
-                ea.append(min(surv, c))
-                eb.append(max(surv, c))
-                count.append(0)
-                maxd.append(-math.inf)
-                dist.append([math.inf, math.inf])
-                pix.append([0, 0])
-                alive.append(True)
-                adj[surv][c] = adj[c][surv] = new
-            count[new] += count[old]
-            maxd[new] = max(maxd[new], maxd[old])
-            s = int(c < surv)
-            for side, cand in ((s, cand_surv), (1 - s, cand_other)):
-                if cand < (dist[new][side], pix[new][side]):
-                    dist[new][side], pix[new][side] = cand
-            if min(dist[new]) <= limit:
-                heapq.heappush(heap, (min(dist[new]), ea[new], eb[new], new))
-
+                new = row_of.get(key)
+                if new is None:  # gone's row becomes the (surv, c) row
+                    row_of[key] = new = old
+                    near_c = near[c]
+                    near_c[near_c.index(gone)] = surv
+                    near_surv.append(c)
+                    d[k + s], p[k + s], d[k + t], p[k + t] = g_dist, g_pix, c_dist, c_pix
+                    best = min(g_dist, c_dist)
+                else:  # each side keeps its nearest (distance, pixel)
+                    near[c].remove(gone)
+                    alive[old] = False
+                    folds += (old, new)
+                    k = 2 * new
+                    i, j = k + s, k + t
+                    i_dist, j_dist = d[i], d[j]
+                    if g_dist < i_dist or (g_dist == i_dist and g_pix < p[i]):
+                        d[i], p[i] = g_dist, g_pix
+                    if c_dist < j_dist or (c_dist == j_dist and c_pix < p[j]):
+                        d[j], p[j] = c_dist, c_pix
+                    # only a fall in score needs a new entry
+                    fell = g_dist < i_dist or c_dist < j_dist
+                    best = min(d[k], d[k + 1]) if fell else math.inf
+                if best <= limit:
+                    heapq.heappush(heap, (best, *divmod(key, n_ids), new))
+        lut[gone_ids] = surv_ids
     lut = _roots(lut)
 
     # a survivor takes the area of every node merged into it
-    area = np.bincount(lut, weights=graph.area, minlength=lut.size).astype(np.int64)
-    out = lut == np.arange(lut.size)
+    area = np.bincount(lut, weights=graph.area, minlength=n_ids).astype(np.int64)
+    out = lut == np.arange(n_ids)
     peak = np.where(out, graph.peak, -1)
     peak_density = np.where(out, graph.peak_density, 0.0)
-    live = np.flatnonzero(alive)
-    a_col = np.array(ea, dtype=np.int64)
-    b_col = np.array(eb, dtype=np.int64)
-    rows = live[np.lexsort((b_col[live], a_col[live]))]
-    out_edges = ClusterEdges(
-        a_col[rows], b_col[rows], np.array(count, dtype=np.int64)[rows],
-        np.array(maxd, dtype=np.float64)[rows],
-        np.array(dist, dtype=np.float64).reshape(-1, 2)[rows],
-        np.array(pix, dtype=np.int64).reshape(-1, 2)[rows])
+    # a row keeps its place when it moves to a survivor, so its clusters
+    # are the roots of the two it started with
+    a_col, b_col = lut[e.a].astype(np.int64), lut[e.b].astype(np.int64)
+    a_col, b_col = np.minimum(a_col, b_col), np.maximum(a_col, b_col)
+    if folds:
+        # a folded row's count and max density reach the row it ends in
+        src, dst = np.array(folds, dtype=np.int64).reshape(-1, 2).T
+        into = np.arange(m)
+        into[src] = dst
+        into = _roots(into)[src]
+        np.add.at(count, into, count[src])
+        np.maximum.at(max_density, into, max_density[src])
+    live = np.flatnonzero(np.fromiter(alive, dtype=bool, count=m))
+    rows = live[np.argsort(a_col[live] * n_ids + b_col[live])]
+    out_edges = ClusterEdges(a_col[rows], b_col[rows], count[rows], max_density[rows],
+                             dist[rows], pixel[rows])
     ids = cmap.ids  # without merges every id maps to itself
-    if merges:
+    if ready.size:
         ids = np.empty_like(ids)
+        # background -1 picks the appended -1
+        relabel = np.append(lut, np.int32(-1))
 
         def remap(rows: slice) -> None:
-            own = cmap.ids[rows]
-            ids[rows] = np.where(own >= 0, lut[own], -1)
+            ids[rows] = relabel[cmap.ids[rows]]
 
         run_in_blocks(ids.shape[0], remap, ids.shape[1])
     new_cmap = ClusterMap(ids)

@@ -546,6 +546,68 @@ def test_union_matches_naive_reference(seed, size, quantize, bandwidth, conn,
         assert cm3.peak_hint is None
 
 
+def test_union_matches_naive_reference_through_cascades():
+    # a 96x96 uniform map at bandwidth 1: hundreds of merges, survivors that
+    # merge away in turn, rows folded more than once and pairs that no input
+    # row has
+    dm = uniform_map(5, 96, 0.2, 1.0)
+    cm = initial_clusters(dm)
+    graph = build_neighborhood_graph(dm, cm)
+    pairs_in = set(_pairs(graph.edges))
+    for md in (0.0, 1.5, 8.0):
+        g2, cm2 = union_clusters(graph, cm, ClusterParams(merge_distance_px=md))
+        nodes, rows, into = naive_union(graph, md)
+        assert typed_nodes(g2.nodes) == typed_nodes(nodes)
+        e = g2.edges
+        assert [e.a.dtype, e.b.dtype, e.count.dtype, e.max_density.dtype,
+                e.dist.dtype, e.pixel.dtype] == [np.int64] * 3 + [np.float64] * 2 + [np.int64]
+        assert list(zip(_pairs(e), e.count.tolist(), e.max_density.tolist(),
+                        e.dist.tolist(), e.pixel.tolist())) == [
+            (pair, *row) for pair, row in rows.items()]
+        relabel = np.arange(graph.peak.size)
+        for gone in into:
+            while relabel[gone] in into:
+                relabel[gone] = into[relabel[gone]]
+        assert np.array_equal(cm2.ids, np.where(cm.ids >= 0, relabel[cm.ids], -1))
+        assert set(rows) - pairs_in
+        assert any(surv in into for surv in into.values())
+    assert len(into) > 300
+
+
+def _columns(graph, cmap) -> list[np.ndarray]:
+    e = graph.edges
+    return [graph.peak, graph.peak_density, graph.area, e.a, e.b, e.count,
+            e.max_density, e.dist, e.pixel, cmap.ids]
+
+
+def _same_arrays(got, want) -> bool:
+    return all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("dm, md, merges", [
+    (uniform_map(5, 64, 0.2, 1.0), 0.0, True),
+    (uniform_map(5, 64, 0.2, 1.0), 8.0, True),
+    (two_gauss_far(), 8.0, False),
+])
+def test_union_and_truncate_never_write_into_their_inputs(dm, md, merges):
+    params = ClusterParams(merge_distance_px=md)
+    cm = initial_clusters(dm)
+    graph = build_neighborhood_graph(dm, cm)
+    before = [c.copy() for c in _columns(graph, cm)]
+    g2, cm2 = union_clusters(graph, cm, params)
+    assert _same_arrays(_columns(graph, cm), before)
+    assert (len(g2.nodes) < len(graph.nodes)) == merges
+    if not merges:
+        # the map shares its input's ids; the columns equal the input's
+        assert cm2.ids is cm.ids
+        assert _same_arrays(_columns(g2, cm2), before)
+    between = [c.copy() for c in _columns(g2, cm2)]
+    values = dm.values.copy()
+    truncate_clusters(dm, cm2, g2, params)
+    assert _same_arrays(_columns(g2, cm2), between)
+    assert np.array_equal(dm.values, values)
+
+
 # ---------------------------------------------------------------- truncate
 
 def _pipeline_totruncate(dm, params):

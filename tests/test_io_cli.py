@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import densitycluster
 import densitycluster.io as dio
 from densitycluster.cli import main
+from densitycluster.clustering import ClusterParams
 from densitycluster.density import DensityMap, Viewport
 from densitycluster.errors import DataError, NoDataError, ParameterError
 from densitycluster.io import (load_points, read_cluster_document,
@@ -1092,6 +1093,73 @@ def test_cli_config_file_bad_values(tmp_path, key, value, code):
                                "height": 64, key: value}))
     assert main(["cluster", "--config", str(cfg),
                  "--output", str(tmp_path / "c.json")]) == code
+
+
+# Runs main() on each argv of the JSON list in argv[1], in this one process,
+# and prints whether build_parser ran once and each call's exit code, stdout
+# and stderr.
+_MAIN_CALLS = """
+import contextlib, io, json, sys
+import densitycluster.cli as cli
+build, built = cli.build_parser, []
+def counted():
+    built.append(1)
+    return build()
+cli.build_parser = counted
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    results.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps({"built": len(built), "results": results}))
+"""
+
+
+def test_cli_main_calls_in_one_process_match_separate_runs(tmp_path):
+    # main() builds its parser once per process: calls in sequence exit and
+    # print as separate processes do, and no config value reaches the next call
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(FIXTURE_CSV), "width": 64, "height": 48,
+                               "merge_distance": 2.0, "truncation_ratio": 0.3,
+                               "palette": 4}))
+    doc = DATA / "two_gaussians_clusters.json"
+    cid = read_cluster_document(doc).clusters[0].id
+    calls = [["cluster", "--width", "x"],
+             ["sql", "--cluster-json", str(doc), "--cluster-id", str(cid)],
+             ["cluster", "--config", str(cfg), "--output", "{out}/config.json"],
+             ["cluster", "--input", str(FIXTURE_CSV), "--output", "{out}/plain.json"]]
+    env = {**os.environ,
+           "PYTHONPATH": str(pathlib.Path(densitycluster.__file__).parents[1])}
+
+    def run(out, argvs):
+        argvs = [[a.replace("{out}", str(out)) for a in argv] for argv in argvs]
+        proc = subprocess.run([sys.executable, "-c", _MAIN_CALLS, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+
+    (tmp_path / "one").mkdir()
+    (tmp_path / "each").mkdir()
+    one = run(tmp_path / "one", calls)
+    each = [run(tmp_path / "each", [argv]) for argv in calls]
+    assert one["built"] == 1
+
+    def timeless(result):
+        rc, out, err = result
+        return rc, re.sub(r"_ms=\d+\.\d", "_ms=", out), err
+
+    assert [timeless(r) for r in one["results"]] == [
+        timeless(e["results"][0]) for e in each]
+    assert [r[0] for r in one["results"]] == [1, 0, 0, 0]
+    assert "invalid int value" in one["results"][0][2]
+    for name in ("config.json", "plain.json"):
+        assert ((tmp_path / "one" / name).read_bytes()
+                == (tmp_path / "each" / name).read_bytes())
+    config = read_cluster_document(tmp_path / "one" / "config.json")
+    plain = read_cluster_document(tmp_path / "one" / "plain.json")
+    assert (config.viewport.width, config.viewport.height) == (64, 48)
+    assert (plain.viewport.width, plain.viewport.height) == (512, 512)
+    assert plain.params == {**ClusterParams().to_dict(), "bandwidth_px": 5.12}
 
 
 def test_cli_pixel_space_round_trip(tmp_path):
