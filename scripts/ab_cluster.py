@@ -4,12 +4,17 @@
 Usage, from the repository root:
 
     python3 scripts/ab_cluster.py --base /path/to/other/checkout --pairs 5
+    python3 scripts/ab_cluster.py --base /path/to/other/checkout --rows 1000000 --text
 
 The workload is a uniform map whose clusters number in the tens of
-thousands: 200k points drawn uniformly from [0, 1000)^2 with `--seed`,
-clustered at 1000x1000 with `--bandwidth 1 --merge-distance 0` and the
-automatic viewport. Its CSV is written once per seed into `.ab_work/` at the
-repository root (git-ignored).
+thousands: `--rows` points (default 200k) drawn uniformly from [0, 1000)^2
+with `--seed`, clustered at 1000x1000 with `--bandwidth 1 --merge-distance 0`
+and the automatic viewport. Its CSV is written once per seed, row count and
+column set into `.ab_work/` at the repository root (git-ignored). With
+`--text` the CSV has a third column, `text`, of two to four words drawn with
+the same seed from a fixed list, and each run also times
+`label --text-col text` on the document `cluster` wrote, with the layers in
+LABEL_LAYERS (their keys start with `label:`).
 
 Each run is a fresh interpreter that imports `densitycluster` from one tree's
 `src/`, runs `cluster` in-process once to warm up, then once timed, with
@@ -57,21 +62,32 @@ LAYERS = {
 FORMER = {"clustering._scan_runs": "_runs"}
 OUTPUT = ("geometry.shape_for_cluster", "geometry.to_data_space",
           "io.cluster_document", "io.write_json")
+LABEL_LAYERS = ("io.load_points", "labeling.assign_documents", "labeling.ctfidf_labels")
+WORDS = ("harbor", "violin", "basalt", "nebula", "sonnet", "glacier", "maple",
+         "cipher", "lagoon", "ember", "quartz", "meadow")
 
 
-def write_points(seed: int, path: Path) -> None:
+def write_points(seed: int, rows: int, text: bool, path: Path) -> None:
     import numpy as np
     rng = np.random.default_rng(seed)
-    xs, ys = rng.uniform(0.0, float(GRID), (2, POINTS)).tolist()
-    path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+    xs, ys = rng.uniform(0.0, float(GRID), (2, rows)).tolist()
+    if not text:
+        path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+        return
+    words = np.array(WORDS)[rng.integers(0, len(WORDS), (rows, 4))].tolist()
+    counts = rng.integers(2, 5, rows).tolist()
+    path.write_text("x,y,text\n" + "".join(
+        f"{x!r},{y!r},{' '.join(w[:k])}\n" for x, y, w, k in zip(xs, ys, words, counts)))
 
 
-def child(src: str, csv: str, out: str) -> None:
+def child(src: str, csv: str, out: str, text: bool) -> None:
     """One tree's timed run; prints {layer: ms}, the cluster count, the
-    document's sha256 and union's counts."""
+    document's sha256 and union's counts, and with `text` the labels'
+    sha256."""
     sys.path.insert(0, src)
     import densitycluster.cli as cli
-    totals = dict.fromkeys((f"{m}.{f}" for m, fs in LAYERS.items() for f in fs), 0.0)
+    layers = dict(LAYERS, labeling=("assign_documents", "ctfidf_labels")) if text else LAYERS
+    totals = dict.fromkeys((f"{m}.{f}" for m, fs in layers.items() for f in fs), 0.0)
     union = {}
 
     def count_union(fn):
@@ -98,7 +114,7 @@ def child(src: str, csv: str, out: str) -> None:
         return wrapper
 
     wrapped = {}
-    for mod, funcs in LAYERS.items():
+    for mod, funcs in layers.items():
         for func in funcs:
             name = f"{mod}.{func}"
             owner = sys.modules[f"densitycluster.{mod}"]
@@ -118,32 +134,48 @@ def child(src: str, csv: str, out: str) -> None:
             for key, val in list(namespace.items()):
                 if id(val) in wrapped:
                     namespace[key] = wrapped[id(val)]
-    argv = ["cluster", "--input", csv, "--output", out, *FLAGS]
-    with open(os.devnull, "w") as sink:
-        stdout, sys.stdout = sys.stdout, sink
-        try:
-            cli.main(argv)  # warm-up
-            for key in totals:
-                totals[key] = 0.0
-            gc.collect()
-            t0 = time.perf_counter()
-            rc = cli.main(argv)
-            totals["cluster_cmd"] = time.perf_counter() - t0
-        finally:
-            sys.stdout = stdout
-    if rc != 0:
-        raise SystemExit(f"cluster exited {rc}")
+    def timed_command(argv: list[str]) -> float:
+        """Seconds of one call of the command after a warm-up call, with
+        `totals` holding that call's layers."""
+        with open(os.devnull, "w") as sink:
+            stdout, sys.stdout = sys.stdout, sink
+            try:
+                cli.main(argv)  # warm-up
+                for key in totals:
+                    totals[key] = 0.0
+                gc.collect()
+                t0 = time.perf_counter()
+                rc = cli.main(argv)
+                seconds = time.perf_counter() - t0
+            finally:
+                sys.stdout = stdout
+        if rc != 0:
+            raise SystemExit(f"{argv[0]} exited {rc}")
+        return seconds
+
+    totals["cluster_cmd"] = timed_command(
+        ["cluster", "--input", csv, "--output", out, *FLAGS])
+    ms = {k: v * 1000.0 for k, v in totals.items() if not k.startswith("labeling.")}
+    ms["output_ms"] = sum(ms[k] for k in OUTPUT)
     with open(out, "rb") as fh:
         data = fh.read()
-    ms = {k: v * 1000.0 for k, v in totals.items()}
-    ms["output_ms"] = sum(ms[k] for k in OUTPUT)
-    print(json.dumps({"ms": ms, "clusters": data.count(b'{"id":'),
-                      "sha256": hashlib.sha256(data).hexdigest(), "union": union}))
+    result = {"ms": ms, "clusters": data.count(b'{"id":'),
+              "sha256": hashlib.sha256(data).hexdigest(), "union": union}
+    if text:
+        labels = out + ".labels.json"
+        seconds = timed_command(["label", "--input", csv, "--text-col", "text",
+                                 "--cluster-json", out, "--output", labels])
+        ms["label_cmd"] = seconds * 1000.0
+        ms.update({f"label:{k}": totals[k] * 1000.0 for k in LABEL_LAYERS})
+        with open(labels, "rb") as fh:
+            result["labels_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    print(json.dumps(result))
 
 
-def run(tree: Path, csv: Path, out: Path) -> dict:
+def run(tree: Path, csv: Path, out: Path, text: bool) -> dict:
     proc = subprocess.run(
-        [sys.executable, __file__, "--child", str(tree / "src"), str(csv), str(out)],
+        [sys.executable, __file__, "--child", str(tree / "src"), str(csv), str(out),
+         "--text" if text else "--no-text"],
         check=True, capture_output=True, text=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -155,32 +187,38 @@ def main() -> int:
                     help="the changed tree (default: this checkout)")
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--rows", type=int, default=POINTS, help="CSV rows (default %(default)s)")
+    ap.add_argument("--text", action=argparse.BooleanOptionalAction, default=False,
+                    help="add a text column and also time `label --text-col text`")
     ap.add_argument("--child", nargs=3, metavar=("SRC", "CSV", "OUT"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        child(*args.child)
+        child(*args.child, args.text)
         return 0
     if args.base is None:
         ap.error("--base is required")
 
     work = ROOT / ".ab_work"
     work.mkdir(exist_ok=True)
-    csv = work / f"uniform-{POINTS}-{GRID}-seed{args.seed}.csv"
+    csv = work / f"uniform-{args.rows}-{GRID}-seed{args.seed}{'-text' * args.text}.csv"
     if not csv.is_file():
-        write_points(args.seed, csv)
+        write_points(args.seed, args.rows, args.text, csv)
     runs = {"base": [], "change": []}
     for i in range(args.pairs):
         sides = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in sides:
             tree = args.base if side == "base" else args.change
-            runs[side].append(run(tree.resolve(), csv, work / f"{side}.json"))
+            runs[side].append(run(tree.resolve(), csv, work / f"{side}.json", args.text))
     layers = list(runs["base"][0]["ms"])
     result = {
-        "workload": {"points": POINTS, "grid": GRID, "seed": args.seed, "flags": FLAGS,
+        "workload": {"points": args.rows, "grid": GRID, "seed": args.seed, "flags": FLAGS,
+                     "text": args.text,
                      "clusters": {s: runs[s][0]["clusters"] for s in runs},
                      "sha256": {s: sorted({r["sha256"] for r in runs[s]}) for s in runs},
-                     "union": {s: runs[s][0]["union"] for s in runs}},
+                     "union": {s: runs[s][0]["union"] for s in runs},
+                     "labels_sha256": {s: sorted({r.get("labels_sha256") for r in runs[s]})
+                                       for s in runs} if args.text else None},
         "pairs": args.pairs,
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                        else os.cpu_count(),

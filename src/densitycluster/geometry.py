@@ -122,9 +122,8 @@ def shape_for_cluster(cmap: ClusterMap, cluster_id: int,
                       connectivity: int = 8) -> ClusterShape:
     """trace_boundary plus decompose_rectangles in one call (pixel space)."""
     shape = trace_boundary(cmap, cluster_id, connectivity)
-    rects = decompose_rectangles(cmap, cluster_id)
-    a = cmap.rects.span[cluster_id][0]
-    shape.rects = list(map(tuple, cmap.rects.bounds[a:a + len(rects)].astype(float).tolist()))
+    a, b = _span(cmap.rects.span, cluster_id)
+    shape.rects = list(map(tuple, cmap.rects.bounds[a:b].astype(float).tolist()))
     return shape
 
 

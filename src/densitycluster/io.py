@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -32,6 +33,11 @@ from .geometry import ClusterShape, PolygonRing, to_data_space, trace_boundary
 
 # loading aborts when more than this fraction of data rows is malformed
 MALFORMED_ROW_LIMIT = 0.01
+
+# names that np.loadtxt, given a name, opens through a decompressor
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".xz", ".lzma")
+# what tells a file read twice from one rewritten or replaced in between
+_file_key = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 # the encoder json.dumps(obj, separators=(",", ":")) builds on every call
 _JSON = json.JSONEncoder(separators=(",", ":"))
@@ -51,6 +57,10 @@ def load_points(path, fmt: str, x_col: str = "x", y_col: str = "y",
     A CSV without quote characters whose every data row is a valid point is
     read column-wise by numpy's C parser; any other file is read row by row,
     with the same result. A file that is not UTF-8 text is a DataError.
+
+    The CSV bytes are read once for the header and the quote check. numpy
+    then reads the file again by its absolute name, in large chunks; if the
+    file has changed by then, the bytes read first decide.
     """
     try:
         return _load_points(path, fmt, x_col, y_col, weight_col, text_col)
@@ -62,8 +72,9 @@ def _load_points(path, fmt, x_col, y_col, weight_col, text_col) -> PointBatch:
     if fmt == "csv":
         with open(path, "rb") as fh:
             data = fh.read()
+            st = os.fstat(fh.fileno())
         cols = _csv_header_columns(data, x_col, y_col, weight_col, text_col)
-        batch = _read_csv_columns(data, *cols)
+        batch = _read_csv_columns(data, _reread(path, data, st), *cols)
         if batch is not None:
             return batch
         rows = _iter_csv(data, *cols)
@@ -119,6 +130,24 @@ def _csv_lines(data: bytes) -> TextIOWrapper:
     return TextIOWrapper(BytesIO(data), encoding="utf-8", newline="")
 
 
+def _reread(path, data: bytes, st: os.stat_result) -> tuple[str, tuple] | None:
+    """(absolute name, _file_key) under which np.loadtxt may read the file
+    of `data` again, or None to hand it `data`'s lines.
+
+    Given a name, numpy reads the file in large chunks; given a file object,
+    it builds one str per line. Only a file that still holds len(data)
+    bytes is read again (a pipe, which would be empty or block, holds
+    none), and never under a name numpy would decompress. The name is
+    absolute, as numpy fetches a name that parses as a URL, such as a
+    relative `http://h/p.csv`.
+    """
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if (not isinstance(name, str) or st.st_size != len(data)
+            or os.path.splitext(name)[1] in _COMPRESSED_SUFFIXES):
+        return None
+    return os.path.abspath(name), _file_key(st)
+
+
 def _csv_header_columns(data, x_col, y_col, weight_col, text_col):
     """Header indices of the x, y, weight and text columns (None if unused)."""
     try:
@@ -136,10 +165,12 @@ def _csv_header_columns(data, x_col, y_col, weight_col, text_col):
             idx[text_col] if text_col else None)
 
 
-def _read_csv_columns(data, xi, yi, wi, ti) -> PointBatch | None:
+def _read_csv_columns(data, reread, xi, yi, wi, ti) -> PointBatch | None:
     """The batch of CSV bytes read column-wise, or None unless they hold no
     quote character and every data row is a valid point (the per-row path
-    then decides)."""
+    then decides). With `reread` (see _reread) numpy reads the file by name,
+    and None also stands for a file that is no longer the one `data` came
+    from."""
     if b'"' in data:  # in UTF-8 this byte is only ever the quote character
         # loadtxt does not know quotes: in `"a,5,6,b",7,8` it finds columns
         # 5 and 6 where csv.reader finds 7 and 8, and raises nothing
@@ -153,10 +184,13 @@ def _read_csv_columns(data, xi, yi, wi, ti) -> PointBatch | None:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(_csv_lines(data), delimiter=",", skiprows=1,
-                              usecols=usecols, comments=None, ndmin=1,
-                              dtype=dtype)
-    except (ValueError, Warning):
+            rows = np.loadtxt(_csv_lines(data) if reread is None else reread[0],
+                              delimiter=",", skiprows=1, usecols=usecols,
+                              comments=None, ndmin=1, dtype=dtype, encoding="utf-8")
+        if reread is not None and _file_key(os.stat(reread[0])) != reread[1]:
+            return None  # replaced or rewritten since `data` was read
+    # OSError: the file is gone or unreadable by the time numpy opens it
+    except (ValueError, Warning, OSError):
         return None
     cols = [np.ascontiguousarray(rows[f]) for f, _ in dtype if f != "text"]
     texts = rows["text"].tolist() if ti is not None else None

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .density import PointBatch, Viewport
+from .density import PointBatch, Viewport, run_in_bands
 from .errors import ParameterError
 from .geometry import ClusterShape
 from .io import _number_texts
@@ -92,6 +92,8 @@ def assign_documents(points: PointBatch, shapes: list[ClusterShape],
     is in the point's band and the point's x-rank is below the rank of the
     entry's x1. The edges are the rects' own floats, so this is the exact
     half-open test, with no rounding; NaN and infinite points match nothing.
+    The points are located in bands (density.run_in_bands), each band
+    writing only its own slice of the result.
 
     Rects must be disjoint, as `cluster` writes them: a point inside
     overlapping (hand-edited) rects may get either rect or none. Memory is
@@ -121,13 +123,19 @@ def assign_documents(points: PointBatch, shapes: list[ClusterShape],
     order = np.argsort(key, kind="stable")
     key, rect, band = key[order], rect[order], band[order]
 
-    pband = np.searchsorted(ye, points.ys, "right") - 1
-    prank = np.searchsorted(xe, points.xs, "right") - 1
     assigned = np.full(len(points), -1, dtype=np.int64)
-    if len(key):
+
+    def locate(part: slice) -> None:
+        pband = np.searchsorted(ye, points.ys[part], "right") - 1
+        prank = np.searchsorted(xe, points.xs[part], "right") - 1
         j = np.searchsorted(key, pband * stride + prank, "right") - 1
         hit = (j >= 0) & (band[j] == pband) & (prank < rank1[rect[j]])
-        assigned[hit] = rect_slot[rect[j[hit]]]
+        assigned[part][hit] = rect_slot[rect[j[hit]]]
+
+    # numpy's searches release the GIL, so bands of points run at once; at 4
+    # elements a point, a band takes at least 16,384 points
+    if len(key):
+        run_in_bands(len(points), locate, 4)
 
     # one stable sort splits the document indices per cluster, ascending
     by_cluster = np.argsort(assigned, kind="stable")

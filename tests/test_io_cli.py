@@ -4,9 +4,11 @@ import math
 import os
 import pathlib
 import re
+import socket
 import sqlite3
 import subprocess
 import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -207,6 +209,141 @@ def test_load_csv_header_only_matches_per_row(tmp_path):
     # the NoDataError alone: no "input contained no data" warning from loadtxt
     assert _assert_same_as_per_row(path) == (
         ("raised", NoDataError, "no data: input contains no usable rows"), [])
+
+
+def _loadtxt_sources(monkeypatch):
+    """The first argument of each np.loadtxt call load_points makes."""
+    sources, loadtxt = [], np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        sources.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(dio.np, "loadtxt", spy)
+    return sources
+
+
+def _label_bytes(tmp_path, points) -> bytes:
+    out = tmp_path / "labels.json"
+    assert main(["label", "--input", str(points), "--text-col", "text",
+                 "--cluster-json", str(DATA / "two_gaussians_clusters.json"),
+                 "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_compressed_suffixes_cover_numpy_openers():
+    # names numpy would open through a decompressor are read from their lines
+    assert set(np.lib._datasource._file_openers.keys()) - {None} \
+        <= set(dio._COMPRESSED_SUFFIXES)
+
+
+@pytest.mark.parametrize("name", ["pts.csv", "pts.csv.gz", "pts.csv.bz2", "pts.csv.xz",
+                                  "pts.csv.lzma"])
+def test_load_csv_by_name_or_lines(tmp_path, monkeypatch, name):
+    # a plain-text file loads the same whatever its suffix: numpy reads it by
+    # its absolute name, or from its lines where numpy would decompress it
+    path = tmp_path / name
+    path.write_bytes(FIXTURE_CSV.read_bytes())
+    sources = _loadtxt_sources(monkeypatch)
+    got = load_points(path, "csv", text_col="text")
+    assert sources[0] == str(path) if name == "pts.csv" else not isinstance(sources[0], str)
+    want = load_points(FIXTURE_CSV, "csv", text_col="text")
+    assert [a.tobytes() for a in (got.xs, got.ys, got.weights)] == \
+        [a.tobytes() for a in (want.xs, want.ys, want.weights)]
+    assert got.texts == want.texts
+    assert _label_bytes(tmp_path, path) == \
+        (DATA / "two_gaussians_golden_labels.json").read_bytes()
+
+
+def test_load_csv_url_like_relative_name_stays_local(tmp_path, monkeypatch):
+    # `http://h/pts.csv` is a relative path; numpy would fetch the URL
+    local = tmp_path / "http:" / "h" / "pts.csv"
+    local.parent.mkdir(parents=True)
+    local.write_bytes(FIXTURE_CSV.read_bytes())
+    monkeypatch.chdir(tmp_path)
+
+    def no_network(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_network)
+    sources = _loadtxt_sources(monkeypatch)
+    got = load_points("http://h/pts.csv", "csv", text_col="text")
+    assert sources == [str(local)]
+    assert got.texts == load_points(FIXTURE_CSV, "csv", text_col="text").texts
+    assert _label_bytes(tmp_path, "http://h/pts.csv") == \
+        (DATA / "two_gaussians_golden_labels.json").read_bytes()
+
+
+def _per_row_outcome(tmp_path, data, **cols):
+    """What load_points gives for `data` on the per-row path alone."""
+    path = tmp_path / "first.csv"
+    path.write_bytes(data)
+    return _load_outcome(path, True, **cols)
+
+
+_FIRST = b"x,y,t\n1,2,a\n3,4,b\n"
+
+
+@pytest.mark.parametrize("change", ["stat-size", "rewrite", "same-size-rewrite",
+                                    "removed"])
+def test_load_csv_file_changed_between_reads(tmp_path, monkeypatch, change):
+    # numpy reads the file a second time; if it is not the file the first
+    # read saw, the per-row path reads the first bytes
+    path = tmp_path / "pts.csv"
+    path.write_bytes(_FIRST)
+    want = _per_row_outcome(tmp_path, _FIRST, text_col="t")
+    loadtxt, stat, per_row = np.loadtxt, os.stat, []
+
+    def change_file(fname, *args, **kwargs):
+        if change == "rewrite":
+            path.write_bytes(b"x,y,t\n5,6,c\n")
+        elif change == "same-size-rewrite":  # the same size, a later mtime
+            mtime = path.stat().st_mtime_ns
+            path.write_bytes(_FIRST.replace(b"a", b"z"))
+            os.utime(path, ns=(mtime + 10**9, mtime + 10**9))
+        elif change == "removed":
+            path.unlink()
+        return loadtxt(fname, *args, **kwargs)
+
+    def other_size(name, *args, **kwargs):
+        st = stat(name, *args, **kwargs)
+        if name != str(path):
+            return st
+        return os.stat_result((*st[:6], st.st_size + 1, *st[7:]), {
+            k: getattr(st, k) for k in ("st_atime_ns", "st_mtime_ns", "st_ctime_ns")})
+
+    def iter_csv(*args):
+        per_row.append(args)
+        return iter_rows(*args)
+
+    iter_rows = dio._iter_csv
+    monkeypatch.setattr(dio.np, "loadtxt", change_file)
+    monkeypatch.setattr(dio, "_iter_csv", iter_csv)
+    if change == "stat-size":
+        monkeypatch.setattr(os, "stat", other_size)
+    assert _load_outcome(path, False, text_col="t") == want
+    assert len(per_row) == 1
+
+
+def test_load_csv_from_a_pipe_reads_it_once(tmp_path):
+    # a named pipe is read once: numpy opening it again would block or see
+    # nothing
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes on this platform")
+    path = tmp_path / "pts.fifo"
+    os.mkfifo(path)
+    data = FIXTURE_CSV.read_bytes()
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    result = []
+    reader = threading.Thread(daemon=True, target=lambda: result.append(
+        load_points(path, "csv", text_col="text")))
+    reader.start()
+    reader.join(30)
+    assert result, "load_points did not return"
+    writer.join(30)
+    assert not writer.is_alive()
+    assert result[0].texts == load_points(FIXTURE_CSV, "csv", text_col="text").texts
 
 
 # ------------------------------------------------------------------ dumps

@@ -1,12 +1,15 @@
+import concurrent.futures
 import math
 import re
 import sqlite3
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from densitycluster import density
 from densitycluster.clustering import ClusterParams, cluster_density_map
 from densitycluster.density import DensityMap, PointBatch, Viewport
 from densitycluster.errors import ParameterError
@@ -216,6 +219,69 @@ def test_assign_matches_first_hit_scan(seed, size, merge, pixel_space):
     got = assign_documents(PointBatch(xs, ys, np.ones(len(xs))), shapes, vp)
     want = _first_hit_scan(xs, ys, shapes)
     assert {cid: idx.tolist() for cid, idx in got.items()} == want
+
+
+def _lattice_documents(seed: int, n: int):
+    """Disjoint rects on a random lattice, zero-width ones and a shape with
+    no rects, and n points: inside, outside, on rect edges, non-finite."""
+    rng = np.random.default_rng(seed)
+    xe = np.unique(rng.uniform(-50, 50, 14).round(1))
+    ye = np.unique(rng.uniform(-50, 50, 11).round(1))
+    owner = rng.integers(-1, 6, (len(ye) - 1, len(xe) - 1))  # -1: no cluster
+    rects = {cid: [] for cid in range(6)}
+    for (j, i), cid in np.ndenumerate(owner):
+        if cid >= 0:
+            rects[cid].append((xe[i], ye[j], xe[i + 1], ye[j + 1]))
+        if rng.random() < 0.2:  # zero width on a lattice line
+            rects[int(rng.integers(0, 6))].append((xe[i], ye[j], xe[i], ye[j + 1]))
+    shapes = [_shape(cid, r) for cid, r in rects.items()] + [_shape(9, [])]
+    xs = rng.uniform(-60, 60, n)
+    ys = rng.uniform(-60, 60, n)
+    # on lattice lines, where rects meet: in x, in y, or at corners
+    for axis, lines in ((xs, xe), (ys, ye)):
+        on = rng.random(n) < 0.4
+        axis[on] = rng.choice(lines, on.sum())
+    odd = rng.choice(n, min(n, 12), replace=False)
+    xs[odd] = rng.choice([np.nan, np.inf, -np.inf, 0.0], len(odd))
+    ys[odd] = rng.choice([np.nan, np.inf, -np.inf, 0.0], len(odd))
+    return PointBatch(xs, ys, np.ones(n)), shapes
+
+
+@pytest.mark.parametrize("seed, n", [(0, 5), (1, 400), (2, 1500), (3, 2000)])
+def test_assign_in_bands_matches_one_band(band_count, seed, n):
+    batch, shapes = _lattice_documents(seed, n)
+    vp = Viewport(-60, 60, -60, 60, 12, 12)
+    outs = []
+    for count in (1, 2, 3, 7):
+        band_count(count)
+        outs.append(assign_documents(batch, shapes, vp))
+    for out in outs[1:]:
+        assert list(out) == list(outs[0]) == [0, 1, 2, 3, 4, 5, 9]
+        for cid, idx in out.items():
+            assert idx.dtype == outs[0][cid].dtype
+            assert np.array_equal(idx, outs[0][cid]), cid
+    assert {cid: idx.tolist() for cid, idx in outs[0].items()} == \
+        _first_hit_scan(batch.xs, batch.ys, shapes)
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_many_cluster_documents_start_no_thread(monkeypatch, cpus):
+    # 12.5k points, as the many-clusters benchmark reads, are too few for
+    # two bands: they are located on the calling thread
+    monkeypatch.setattr(density, "usable_cpus", lambda: cpus)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    batch, shapes = _lattice_documents(4, 12_500)
+    vp = Viewport(-60, 60, -60, 60, 12, 12)
+    before = threading.active_count()
+    assert sum(map(len, assign_documents(batch, shapes, vp).values())) > 0
+    assert threading.active_count() == before
+    batch, shapes = _lattice_documents(4, 2 * 16_384)  # two bands
+    with pytest.raises(AssertionError, match="thread pool"):
+        assign_documents(batch, shapes, vp)
 
 
 # ----------------------------------------------------------------- c-TF-IDF
