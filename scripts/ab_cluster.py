@@ -10,11 +10,14 @@ The workload is a uniform map whose clusters number in the tens of
 thousands: `--rows` points (default 200k) drawn uniformly from [0, 1000)^2
 with `--seed`, clustered at 1000x1000 with `--bandwidth 1 --merge-distance 0`
 and the automatic viewport. Its CSV is written once per seed, row count and
-column set into `.ab_work/` at the repository root (git-ignored). With
-`--text` the CSV has a third column, `text`, of two to four words drawn with
-the same seed from a fixed list, and each run also times
-`label --text-col text` on the document `cluster` wrote, with the layers in
-LABEL_LAYERS (their keys start with `label:`).
+column set into `.ab_work/` at the repository root (git-ignored). Each run
+writes its outputs into a fresh directory there, removed after the run, so
+that no run starts with the previous run's output files. With `--text` the
+CSV has a third column, `text`, of two to four words drawn with the same
+seed from a fixed list, and each run also times `label --text-col text` on
+the document `cluster` wrote, with the layers in LABEL_LAYERS (their keys
+start with `label:`), and then `label --merge` (`merge_cmd`), which writes
+the document it read back with the labels in it.
 
 Each run is a fresh interpreter that imports `densitycluster` from one tree's
 `src/`, runs `cluster` in-process once to warm up, then once timed, with
@@ -39,9 +42,11 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -82,8 +87,8 @@ def write_points(seed: int, rows: int, text: bool, path: Path) -> None:
 
 def child(src: str, csv: str, out: str, text: bool) -> None:
     """One tree's timed run; prints {layer: ms}, the cluster count, the
-    document's sha256 and union's counts, and with `text` the labels'
-    sha256."""
+    document's sha256 and union's counts, and with `text` the sha256 of the
+    labels and of the merged document."""
     sys.path.insert(0, src)
     import densitycluster.cli as cli
     layers = dict(LAYERS, labeling=("assign_documents", "ctfidf_labels")) if text else LAYERS
@@ -167,16 +172,27 @@ def child(src: str, csv: str, out: str, text: bool) -> None:
                                  "--cluster-json", out, "--output", labels])
         ms["label_cmd"] = seconds * 1000.0
         ms.update({f"label:{k}": totals[k] * 1000.0 for k in LABEL_LAYERS})
-        with open(labels, "rb") as fh:
-            result["labels_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+        merged = out + ".merged.json"
+        seconds = timed_command(["label", "--input", csv, "--text-col", "text", "--merge",
+                                 "--cluster-json", out, "--output", merged])
+        ms["merge_cmd"] = seconds * 1000.0
+        for key, path in (("labels_sha256", labels), ("merged_sha256", merged)):
+            with open(path, "rb") as fh:
+                result[key] = hashlib.sha256(fh.read()).hexdigest()
     print(json.dumps(result))
 
 
-def run(tree: Path, csv: Path, out: Path, text: bool) -> dict:
-    proc = subprocess.run(
-        [sys.executable, __file__, "--child", str(tree / "src"), str(csv), str(out),
-         "--text" if text else "--no-text"],
-        check=True, capture_output=True, text=True)
+def run(tree: Path, csv: Path, work: Path, text: bool) -> dict:
+    """One child run of `tree`, writing into a fresh directory under `work`
+    that is removed afterwards."""
+    out_dir = Path(tempfile.mkdtemp(dir=work, prefix="run-"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--child", str(tree / "src"), str(csv),
+             str(out_dir / "clusters.json"), "--text" if text else "--no-text"],
+            check=True, capture_output=True, text=True)
+    finally:
+        shutil.rmtree(out_dir)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -209,7 +225,7 @@ def main() -> int:
         sides = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in sides:
             tree = args.base if side == "base" else args.change
-            runs[side].append(run(tree.resolve(), csv, work / f"{side}.json", args.text))
+            runs[side].append(run(tree.resolve(), csv, work, args.text))
     layers = list(runs["base"][0]["ms"])
     result = {
         "workload": {"points": args.rows, "grid": GRID, "seed": args.seed, "flags": FLAGS,
@@ -217,8 +233,9 @@ def main() -> int:
                      "clusters": {s: runs[s][0]["clusters"] for s in runs},
                      "sha256": {s: sorted({r["sha256"] for r in runs[s]}) for s in runs},
                      "union": {s: runs[s][0]["union"] for s in runs},
-                     "labels_sha256": {s: sorted({r.get("labels_sha256") for r in runs[s]})
-                                       for s in runs} if args.text else None},
+                     **{key: {s: sorted({r.get(key) for r in runs[s]}) for s in runs}
+                        if args.text else None
+                        for key in ("labels_sha256", "merged_sha256")}},
         "pairs": args.pairs,
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                        else os.cpu_count(),

@@ -23,26 +23,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .density import DensityMap, run_in_bands, run_in_blocks
+from .density import DensityMap, run_in_blocks
 from .errors import DataError, ParameterError
 
 # Neighbor offsets (dx, dy) in increasing linear-index order (dy*width + dx).
 # The scan order IS the tie-break: among equally dense neighbors the first one
 # scanned (smallest linear index) wins. reference oracles reuse this constant.
+# The second half of each set, the forward offsets, enumerates every
+# unordered pixel adjacency exactly once.
 NEIGHBOR_OFFSETS = {
     4: ((0, -1), (-1, 0), (1, 0), (0, 1)),
     8: ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)),
 }
-
-# Forward half of each offset set: enumerates every unordered pixel adjacency
-# exactly once.
-_FORWARD_OFFSETS = {
-    4: ((1, 0), (0, 1)),
-    8: ((1, 0), (-1, 1), (0, 1), (1, 1)),
-}
-
-# initial_clusters finds densest neighbors this many rows at a time
-_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -346,15 +338,15 @@ def _group_min(group: np.ndarray, n: int, key: np.ndarray,
 def _roots(parent: np.ndarray) -> np.ndarray:
     """The root of every node of a forest whose roots are their own parent,
     by pointer jumping: each round halves every remaining path. Rounds run
-    in bands and alternate between two arrays, so parent may be overwritten."""
+    in blocks and alternate between two arrays, so parent may be overwritten."""
     grand = np.empty_like(parent)
 
-    def jump(band: slice) -> bool:
+    def jump(block: slice) -> bool:
         # every index is in range; "clip" spares the buffered copy of "raise"
-        np.take(parent, parent[band], out=grand[band], mode="clip")
-        return np.array_equal(grand[band], parent[band])
+        np.take(parent, parent[block], out=grand[block], mode="clip")
+        return np.array_equal(grand[block], parent[block])
 
-    while not all(run_in_bands(parent.size, jump)):
+    while not all(run_in_blocks(parent.size, jump)):
         parent, grand = grand, parent
     return parent
 
@@ -412,6 +404,14 @@ class ClusterEdges:
     def __len__(self) -> int:
         return int(self.a.shape[0])
 
+    def neighbors(self, n_ids: int) -> tuple[np.ndarray, np.ndarray]:
+        """(nbr, cut): every id's neighbours as one CSR over ids 0..n_ids-1.
+        Id i's are nbr[cut[i]:cut[i + 1]]: the other ends of the rows where
+        i is a, then of those where it is b, each in row order."""
+        ends = np.concatenate((self.a, self.b))
+        nbr = np.concatenate((self.b, self.a))[np.argsort(ends, kind="stable")]
+        return nbr, np.append(0, np.cumsum(np.bincount(ends, minlength=n_ids)))
+
     @classmethod
     def empty(cls) -> ClusterEdges:
         ints = np.empty(0, dtype=np.int64)
@@ -465,38 +465,34 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     root = np.empty(n, dtype=bool)
     par = np.empty(n, dtype=np.int64)
 
-    def link(rows: slice) -> list[np.ndarray]:
+    def link(rows: slice) -> np.ndarray:
         """Point each pixel of the rows at its densest neighbor, first (=
         smallest linear index) on ties, if that is at least as dense; return
         the pixels whose densest neighbor is exactly as dense."""
-        ties = []
-        # a block of rows at a time, so that its arrays stay in cache
-        for y0 in range(rows.start, rows.stop, _BLOCK_ROWS):
-            y1 = min(y0 + _BLOCK_ROWS, rows.stop)
-            nbs = [pad[1 + dy + y0:1 + dy + y1, 1 + dx:1 + dx + w] for dx, dy in offsets]
-            best_d = nbs[0].copy()
-            best_k = np.zeros(best_d.shape, dtype=np.int8)
-            better = np.empty(best_d.shape, dtype=bool)
-            for k in range(1, len(nbs)):
-                np.greater(nbs[k], best_d, out=better)
-                np.maximum(best_d, nbs[k], out=best_d)
-                # best_k = k where better: arithmetic, as masked copies
-                # branch on every pixel of a rough map
-                best_k *= ~better
-                best_k += better * np.int8(k)
-            own = d[y0:y1]
-            pos = own > 0
-            up = pos & (best_d >= own)
-            block = slice(y0 * w, y1 * w)
-            fg[block] = pos.ravel()
-            root[block] = (pos & ~up).ravel()
-            step = np.take(deltas, best_k.ravel())
-            step *= up.ravel()
-            np.add(step, np.arange(y0 * w, y1 * w, dtype=np.int64), out=par[block])
-            ties.append(np.flatnonzero(pos & (best_d == own)) + y0 * w)
-        return ties
+        nbs = [pad[1 + dy + rows.start:1 + dy + rows.stop, 1 + dx:1 + dx + w]
+               for dx, dy in offsets]
+        best_d = nbs[0].copy()
+        best_k = np.zeros(best_d.shape, dtype=np.int8)
+        better = np.empty(best_d.shape, dtype=bool)
+        for k in range(1, len(nbs)):
+            np.greater(nbs[k], best_d, out=better)
+            np.maximum(best_d, nbs[k], out=best_d)
+            # best_k = k where better: arithmetic, as masked copies branch on
+            # every pixel of a rough map
+            best_k *= ~better
+            best_k += better * np.int8(k)
+        own = d[rows]
+        pos = own > 0
+        up = pos & (best_d >= own)
+        block = slice(rows.start * w, rows.stop * w)
+        fg[block] = pos.ravel()
+        root[block] = (pos & ~up).ravel()
+        step = np.take(deltas, best_k.ravel())
+        step *= up.ravel()
+        np.add(step, np.arange(block.start, block.stop, dtype=np.int64), out=par[block])
+        return np.flatnonzero(pos & (best_d == own)) + block.start
 
-    ties = np.concatenate([t for band in run_in_bands(h, link, w) for t in band])
+    ties = np.concatenate(run_in_blocks(h, link, w))
     # Mutual links need equal densities, as each pixel is at least as dense
     # as the other, so only pixels whose densest neighbor is exactly as dense
     # can be in a two-cycle. Promote the smaller index of each to root so
@@ -513,26 +509,26 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     par = _roots(par)
 
     # the roots numbered in scan order: rank counts the roots up to each
-    # pixel, band by band, then across bands
+    # pixel, block by block, then across blocks
     rank = np.empty(n, dtype=np.int32)
 
     def mark(rows: slice) -> tuple[slice, np.ndarray]:
-        band = slice(rows.start * w, rows.stop * w)
-        np.cumsum(root[band], dtype=np.int32, out=rank[band])
-        return band, np.flatnonzero(root[band]) + band.start
+        block = slice(rows.start * w, rows.stop * w)
+        np.cumsum(root[block], dtype=np.int32, out=rank[block])
+        return block, np.flatnonzero(root[block]) + block.start
 
-    marked = run_in_bands(h, mark, w)
+    marked = run_in_blocks(h, mark, w)
     below = -1
-    for band, found in marked:
-        rank[band] += below
+    for block, found in marked:
+        rank[block] += below
         below += found.size
     ids = np.empty(n, dtype=np.int32)
 
     def label(rows: slice) -> None:
-        band = slice(rows.start * w, rows.stop * w)
-        ids[band] = np.where(fg[band], rank[par[band]], -1)
+        block = slice(rows.start * w, rows.stop * w)
+        ids[block] = np.where(fg[block], rank[par[block]], -1)
 
-    run_in_bands(h, label, w)
+    run_in_blocks(h, label, w)
     return ClusterMap(ids.reshape(h, w),
                       peak_hint=np.concatenate([found for _, found in marked]))
 
@@ -543,7 +539,7 @@ def _boundary_edges(d: np.ndarray, ids2: np.ndarray, peak_lin: np.ndarray,
     h, w = ids2.shape
     flat_d = d.ravel()
     n_ids = peak_lin.shape[0]
-    offsets = _FORWARD_OFFSETS[connectivity]
+    offsets = NEIGHBOR_OFFSETS[connectivity][connectivity // 2:]
 
     def pairs(rows: slice) -> list[np.ndarray]:
         # the block and the row below it, padded with -1, which matches no
@@ -662,12 +658,9 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
         peaks, densities = memoryview(graph.peak), memoryview(graph.peak_density)
         # row r's side s at 2r + s, written straight into the columns
         d, p = memoryview(dist.reshape(-1)), memoryview(pixel.reshape(-1))
-        # every id's neighbours (one CSR), and each pair's row by the key
-        # a * n_ids + b
-        ends = np.concatenate((e.a, e.b))
-        nbr = np.concatenate((e.b, e.a))[np.argsort(ends, kind="stable")].tolist()
-        stop = np.cumsum(np.bincount(ends, minlength=n_ids)).tolist()
-        near = [nbr[s:t] for s, t in zip([0] + stop, stop)]
+        # every id's neighbours, and each pair's row by the key a * n_ids + b
+        nbr, cut = (col.tolist() for col in e.neighbors(n_ids))
+        near = [nbr[s:t] for s, t in zip(cut, cut[1:])]
         row_of = dict(zip((e.a * n_ids + e.b).tolist(), range(m)))
 
         # entries (score, a, b, row) of the rows that can merge: those that

@@ -282,12 +282,12 @@ def smooth(counts: DensityMap, bandwidth_px: float) -> DensityMap:
     values = counts.values
     h, w = values.shape
     rows, out = np.empty_like(values), np.empty_like(values)
-    # the x pass in bands of rows, the y pass in bands of columns; each
+    # the x pass in blocks of rows, the y pass in blocks of columns; each
     # element is computed as a whole-grid pass would compute it
-    run_in_bands(h, lambda band: convolve1d(
-        values[band], k, axis=1, mode="constant", cval=0.0, output=rows[band]), w)
-    run_in_bands(w, lambda band: convolve1d(
-        rows[:, band], k, axis=0, mode="constant", cval=0.0, output=out[:, band]), h)
+    run_in_blocks(h, lambda block: convolve1d(
+        values[block], k, axis=1, mode="constant", cval=0.0, output=rows[block]), w)
+    run_in_blocks(w, lambda block: convolve1d(
+        rows[:, block], k, axis=0, mode="constant", cval=0.0, output=out[:, block]), h)
     return DensityMap(counts.viewport, out)
 
 

@@ -138,11 +138,9 @@ def color_clusters(graph: ClusterGraph, palette_size: int = 10) -> dict[int, int
     if palette_size < 1:
         raise ParameterError("palette_size must be >= 1")
     ids = np.flatnonzero(graph.peak >= 0)
-    src = np.concatenate((graph.edges.a, graph.edges.b))
-    degree = np.bincount(src, minlength=graph.peak.size)
-    cut = np.append(0, np.cumsum(degree)).tolist()
-    neighbors = np.concatenate((graph.edges.b, graph.edges.a))[
-        np.argsort(src, kind="stable")].tolist()
+    neighbors, cut = graph.edges.neighbors(graph.peak.size)
+    degree = np.diff(cut)
+    neighbors, cut = neighbors.tolist(), cut.tolist()
     color = [-1] * graph.peak.size
     colors: dict[int, int] = {}
     for cid in ids[np.lexsort((ids, -degree[ids]))].tolist():

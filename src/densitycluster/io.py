@@ -41,8 +41,6 @@ _file_key = attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 # the encoder json.dumps(obj, separators=(",", ":")) builds on every call
 _JSON = json.JSONEncoder(separators=(",", ":"))
-# stands for a geometry field while ClusterDocument.to_json encodes the rest
-_SLOT = "\x00"
 
 
 def load_points(path, fmt: str, x_col: str = "x", y_col: str = "y",
@@ -284,9 +282,9 @@ class ClusterRecord:
 class ClusterDocument:
     """The cluster JSON: geometry in `space` ("data" or "pixel") units.
 
-    A document built by cluster_document holds its geometry only as the
-    JSON text of each cluster's outer, holes and rects (`geometry`), cut
-    from the map's whole-map ring and rect arrays. One read back holds the
+    A document built by cluster_document holds its geometry only as JSON
+    text, an (outer, holes, rects) triple per cluster (`geometry`), cut from
+    the map's whole-map ring and rect arrays. One read back holds the
     JSON lists in its records, and `geometry` is None; render_svg and
     rect_shape read those lists, so they take documents read back.
     """
@@ -295,7 +293,7 @@ class ClusterDocument:
     viewport: Viewport
     params: dict
     clusters: list[ClusterRecord]
-    geometry: list[str] | None = None
+    geometry: list[tuple[str, str, str]] | None = None
 
     def to_dict(self) -> dict:
         if self.geometry is not None:  # the geometry exists only as text
@@ -307,20 +305,21 @@ class ClusterDocument:
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), separators=(",", ":")), byte for byte.
 
-        The json encoder writes the document once, with a slot string in
-        place of each outer, holes and rects field, and the geometry text is
-        put into the slots: the built text, or for a document read back the
+        The json encoder writes the header and each record's id, peak and
+        area_px, and its label; each record's outer, holes and rects text
+        goes between them: the built text, or for a document read back the
         text of its lists, whose numbers come from _number_texts.
         """
+        encode = _JSON.encode
+        head = encode({"space": self.space, "viewport": self.viewport.to_dict(),
+                       "params": self.params})
         geometry = self.geometry or _list_texts(self.clusters)
-        doc = {"space": self.space, "viewport": self.viewport.to_dict(),
-               "params": self.params, "clusters": [
-                   {**c.to_dict(), "outer": _SLOT, "holes": _SLOT, "rects": _SLOT}
-                   for c in self.clusters]}
-        pieces = _JSON.encode(doc).split(_JSON.encode(_SLOT))
-        if len(pieces) != len(geometry) + 1:  # a string of a read-back document looks like a slot
-            return _JSON.encode(self.to_dict())
-        return "".join(chain.from_iterable(zip(pieces, geometry))) + pieces[-1]
+        records = [
+            f'{encode({"id": c.id, "peak": c.peak, "area_px": c.area_px})[:-1]},'
+            f'"outer":{outer},"holes":{holes},"rects":{rects},"color":{c.color}'
+            + ("}" if c.label is None else f',"label":{encode(c.label)}}}')
+            for c, (outer, holes, rects) in zip(self.clusters, geometry)]
+        return f'{head[:-1]},"clusters":[{",".join(records)}]}}'
 
     def rect_shape(self, cluster: ClusterRecord) -> ClusterShape:
         """The cluster's rects as a data-space ClusterShape without rings:
@@ -366,17 +365,18 @@ def _nested_list(items: list[str]) -> str:
     return "[[" + "],[".join(items) + "]]" if items else "[]"
 
 
-def _geometry_texts(pairs, ring_cut, ring_span, boxes, rect_span) -> list[str]:
-    """The JSON of each cluster's outer, holes and rects, in order, from the
+def _geometry_texts(pairs, ring_cut, ring_span, boxes, rect_span
+                    ) -> list[tuple[str, str, str]]:
+    """The JSON of each cluster's (outer, holes, rects), in order, from the
     text of every vertex (pairs) and rect (boxes) without brackets: ring i
     is pairs[ring_cut[i]:ring_cut[i + 1]], and each cluster spans a
     (start, stop) range of rings, outer ring first, and one of rects."""
     rings = [_nested_list(pairs[i:j]) for i, j in zip(ring_cut, ring_cut[1:])]
-    return [text for (a, b), (i, j) in zip(ring_span, rect_span) for text in
-            (rings[a], f'[{",".join(rings[a + 1:b])}]', _nested_list(boxes[i:j]))]
+    return [(rings[a], f'[{",".join(rings[a + 1:b])}]', _nested_list(boxes[i:j]))
+            for (a, b), (i, j) in zip(ring_span, rect_span)]
 
 
-def _list_texts(clusters: list[ClusterRecord]) -> list[str]:
+def _list_texts(clusters: list[ClusterRecord]) -> list[tuple[str, str, str]]:
     """_geometry_texts of records that hold their geometry as lists."""
     rings = [r for c in clusters for r in (c.outer, *c.holes)]
     ring_cut = list(accumulate((1 + len(c.holes) for c in clusters), initial=0))
@@ -417,8 +417,7 @@ def cluster_document(viewport: Viewport, params, bandwidth_px: float, cmap,
                         (viewport.y_min, viewport.sy, viewport.height)):
         p = np.arange(n + 1)
         with np.errstate(over="ignore"):  # inf, as the same float arithmetic gives
-            edges += _JSON.encode((lo + p * step if space == "data"
-                                   else p.astype(float)).tolist())[1:-1].split(",")
+            edges += _number_texts(lo + p * step if space == "data" else p)
     edges, y0 = np.array(edges, dtype=object), viewport.width + 1
     geometry = _geometry_texts(
         list(map(",".join, zip(*edges[(rings.vertices + [0, y0]).T].tolist()))),

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .density import PointBatch, Viewport, run_in_bands
+from .density import PointBatch, Viewport, run_in_blocks
 from .errors import ParameterError
 from .geometry import ClusterShape
 from .io import _number_texts
@@ -27,17 +27,17 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _MIN_TOKEN_LEN = 2
 
 
-def _load_stopwords() -> frozenset[str]:
-    text = resources.files("densitycluster").joinpath("data/stopwords.txt").read_text()
-    words = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line)
-    return frozenset(words)
+def _load_words(name: str) -> frozenset[str]:
+    """The words of a package word list: one a line, with comments and
+    blank lines ignored."""
+    text = resources.files("densitycluster").joinpath(f"data/{name}").read_text()
+    lines = (line.strip() for line in text.splitlines())
+    return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
-STOPWORDS = _load_stopwords()
+STOPWORDS = _load_words("stopwords.txt")
+# lowercase keywords that stand for no column where a bare column name is read
+SQL_KEYWORDS = _load_words("sql_keywords.txt")
 
 
 @dataclass
@@ -92,7 +92,7 @@ def assign_documents(points: PointBatch, shapes: list[ClusterShape],
     is in the point's band and the point's x-rank is below the rank of the
     entry's x1. The edges are the rects' own floats, so this is the exact
     half-open test, with no rounding; NaN and infinite points match nothing.
-    The points are located in bands (density.run_in_bands), each band
+    The points are located in blocks (density.run_in_blocks), each block
     writing only its own slice of the result.
 
     Rects must be disjoint, as `cluster` writes them: a point inside
@@ -135,7 +135,7 @@ def assign_documents(points: PointBatch, shapes: list[ClusterShape],
     # numpy's searches release the GIL, so bands of points run at once; at 4
     # elements a point, a band takes at least 16,384 points
     if len(key):
-        run_in_bands(len(points), locate, 4)
+        run_in_blocks(len(points), locate, 4)
 
     # one stable sort splits the document indices per cluster, ascending
     by_cluster = np.argsort(assigned, kind="stable")
@@ -177,14 +177,16 @@ def ctfidf_labels(assignment: dict[int, np.ndarray], documents,
         if total == 0 or mean_tokens == 0:
             results.append(LabelResult(cid, []))
             continue
+        # (-score, term) sorts by descending score, then term: the terms are
+        # distinct, so no two entries tie
         scored = []
         for term, cnt in counts.items():
             tf = cnt / total
             score = tf * math.log(1.0 + mean_tokens / corpus[term])
             if score > 0:
-                scored.append((term, score))
-        scored.sort(key=lambda ts: (-ts[1], ts[0]))
-        results.append(LabelResult(cid, scored[:k]))
+                scored.append((-score, term))
+        scored.sort()
+        results.append(LabelResult(cid, [(term, -neg) for neg, term in scored[:k]]))
     return results
 
 
@@ -193,11 +195,14 @@ def emit_sql_predicate(shape: ClusterShape, x_column: str, y_column: str) -> str
 
     One parenthesized conjunct per rectangle, OR-joined in stored order.
     Column names are validated against [A-Za-z_][A-Za-z0-9_]* to keep the
-    output injection-free.
+    output injection-free, and must not be one of SQL_KEYWORDS, in any case,
+    which SQLite would not read as the column.
     """
     for ident in (x_column, y_column):
         if not _IDENT_RE.match(ident):
             raise ParameterError(f"invalid column identifier: {ident!r}")
+        if ident.lower() in SQL_KEYWORDS:
+            raise ParameterError(f"column identifier is an SQL keyword: {ident!r}")
     if not shape.rects:
         raise ParameterError(
             f"cluster {shape.cluster_id} has no rectangles to emit")

@@ -487,8 +487,14 @@ def test_cli_bad_input_bytes_exit_without_traceback(tmp_path, capsys, argv, data
     (["bench", "--sizes", ","], "--sizes must name at least one grid size"),
     (["bench", "--sizes", "x"], "bad --sizes value: 'x'"),
     (["bench", "--repeats", "0"], "--repeats must be >= 1"),
+    (["sql", "--cluster-json", str(DATA / "two_gaussians_clusters.json"),
+      "--cluster-id", "92", "--x-col", "select"],
+     "column identifier is an SQL keyword: 'select'"),
+    (["sql", "--cluster-json", str(DATA / "two_gaussians_clusters.json"),
+      "--cluster-id", "92", "--y-col", "null"],
+     "column identifier is an SQL keyword: 'null'"),
 ], ids=["label_top_k_0", "cluster_no_output", "label_no_output", "bench_no_sizes",
-        "bench_bad_sizes", "bench_repeats_0"])
+        "bench_bad_sizes", "bench_repeats_0", "sql_x_col_select", "sql_y_col_null"])
 def test_cli_usage_errors_exit_1(tmp_path, capsys, argv, message):
     assert main([a.format(out=tmp_path / "out") for a in argv]) == 1
     err = capsys.readouterr().err
@@ -663,14 +669,22 @@ def test_cli_non_finite_coordinates_are_data_errors(tmp_path, capsys, command,
     (("params", "bandwidth_px"), "Infinity"),
     (("params", "bandwidth_px"), "1e400"),
 ], ids=["nan_peak_density", "infinity_param", "huge_param"])
-@pytest.mark.parametrize("command", ["render", "sql"])
+@pytest.mark.parametrize("command", ["render", "sql", "merge"])
 def test_cli_non_finite_outside_geometry_is_accepted(tmp_path, capsys, command,
                                                      path, literal):
-    # only the geometry is checked for finite numbers
+    # only the geometry is checked for finite numbers; `label --merge` writes
+    # the non-finite value back as it read it
     doc_path = tmp_path / "doc.json"
     _write_with_literal(_FIXTURE_DOC, path, literal, doc_path)
     assert main(_doc_argv(command, tmp_path) + ["--cluster-json", str(doc_path)]) == 0
     assert "Traceback" not in capsys.readouterr().err
+    if command == "merge":
+        merged = json.loads((tmp_path / "merged.json").read_text())
+        value = merged
+        for key in path:
+            value = value[key]
+        assert math.isnan(value) if literal == "NaN" else value == math.inf
+        assert all("label" in c for c in merged["clusters"])
 
 
 def test_cli_sql_cluster_without_rects_is_data_error(tmp_path, capsys):
@@ -778,6 +792,8 @@ def _doc_argv(command, out_dir):
         "sql": ["sql", "--cluster-id", "92"],
         "label": ["label", "--input", str(FIXTURE_CSV), "--text-col", "text",
                   "--output", str(out_dir / "labels.json")],
+        "merge": ["label", "--input", str(FIXTURE_CSV), "--text-col", "text", "--merge",
+                  "--output", str(out_dir / "merged.json")],
     }[command]
 
 

@@ -16,9 +16,9 @@ from densitycluster.errors import ParameterError
 from densitycluster.geometry import (ClusterShape, PolygonRing,
                                      shape_for_cluster, to_data_space)
 from densitycluster.io import format_number
-from densitycluster.labeling import (STOPWORDS, _count_tokens, assign_documents,
-                                     ctfidf_labels, emit_sql_predicate,
-                                     tokenize)
+from densitycluster.labeling import (SQL_KEYWORDS, STOPWORDS, _count_tokens,
+                                     assign_documents, ctfidf_labels,
+                                     emit_sql_predicate, tokenize)
 
 from conftest import noisy_map, three_blob
 
@@ -363,9 +363,11 @@ def test_sql_two_rects_or_joined():
 
 def test_sql_identifier_validation():
     shape = _shape(0, [(0.0, 0.0, 1.0, 1.0)])
-    for bad in ("x;drop", "1x", "a b", ""):
+    for bad in ("x;drop", "1x", "a b", "", "select", "SELECT", "null"):
         with pytest.raises(ParameterError):
             emit_sql_predicate(shape, bad, "y")
+        with pytest.raises(ParameterError):
+            emit_sql_predicate(shape, "x", bad)
     with pytest.raises(ParameterError):
         emit_sql_predicate(_shape(0, []), "x", "y")
 
@@ -392,6 +394,32 @@ def _sqlite_select(points, predicate):
     rows = con.execute(f"SELECT i FROM pts WHERE {predicate}").fetchall()
     con.close()
     return {r[0] for r in rows}
+
+
+def _bare_column_rows(word, predicate):
+    """The rows of a one-column table named `word` that the predicate selects
+    in SQLite, or None if SQLite rejects it."""
+    con = sqlite3.connect(":memory:")
+    con.execute(f'CREATE TABLE t (i INTEGER, "{word}" REAL)')
+    con.executemany("INSERT INTO t VALUES (?, ?)", enumerate([-1.0, 0.0, 0.5, 1.0, 2.0]))
+    try:
+        return {r[0] for r in con.execute(f"SELECT i FROM t WHERE {predicate}")}
+    except sqlite3.OperationalError:
+        return None
+    finally:
+        con.close()
+
+
+def test_sql_keywords_are_the_words_sqlite_reads_as_no_column():
+    # a listed keyword is a syntax error as a bare column, or reads as a
+    # value (null, current_date) and selects other rows than the rect's
+    assert len(SQL_KEYWORDS) == 64
+    for word in sorted(SQL_KEYWORDS):
+        assert _bare_column_rows(word, f"({word} >= 0 AND {word} < 1)") != {1, 2}, word
+    shape = _shape(0, [(0.0, 0.0, 1.0, 1.0)])
+    for word in ("x", "y", "date", "value", "key"):
+        predicate = emit_sql_predicate(shape, word, word)
+        assert _bare_column_rows(word, predicate) == {1, 2}, word
 
 
 def _three_blob_case():

@@ -27,7 +27,8 @@ _SPECIAL = [0.0, -0.0, 1.0, -2.0, 64.0, 0.5, 0.1, 1 / 3, 1e16, -1e16, 1e-7,
             2.5e-8, 5e-324, 2.2250738585072014e-308, 1.5e300]
 _FLOATS = st.sampled_from(_SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)
 _NUMBERS = _FLOATS | st.sampled_from([0, 3, -7]) | st.integers(-10**6, 10**6)
-# "\x00" is the string to_json stands in for geometry fields while encoding
+# "\x00", a control character the encoder escapes, stays as an adversarial
+# string for a writer that joins its own text with the encoder's
 _TEXT = st.sampled_from(["", "ab", 'q"\\', "é"] * 5 + ["\x00"])
 
 
