@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the `cluster` command of two source trees on the many-cluster map.
+"""Time the document commands of two source trees on the many-cluster map.
 
 Usage, from the repository root:
 
@@ -22,17 +22,21 @@ the document it read back with the labels in it.
 Each run is a fresh interpreter that imports `densitycluster` from one tree's
 `src/`, runs `cluster` in-process once to warm up, then once timed, with
 every layer function below wrapped to sum its calls' wall time (inclusive
-of the layers it calls). The map tables have two layers of their own: the
-row-run scanner (`clustering._scan_runs`, or `_runs` in trees without it),
-which every run, side and truncation scan goes through, and
-`clustering.ClusterMap._trace_rings`, which includes the boundary segment
-table it reads. Pairs alternate which tree runs first. The last
-line printed is JSON: per-layer medians in ms for each tree, how many pairs
-the change (`--change`, default this checkout) was faster in, the cluster
-count of each tree's document, and the number of CPUs the runs could use
-(smoothing and initial clustering split their work over them). `output_ms`
-sums the layers that turn the cluster map into the document: shapes,
-`to_data_space`, `cluster_document` and `write_json`.
+of the layers it calls). It then times, the same way, `render` of the
+document (`render_cmd`, without an underlay) and `sql` for one cluster id
+drawn with `--seed` (`sql_cmd`). For every timed command it records the
+cyclic garbage collector's pauses, from `gc.callbacks`: their total ms
+(`<command>:gc`) and their number (`median_collections`). The map tables
+have two layers of their own: the row-run scanner (`clustering._scan_runs`,
+or `_runs` in trees without it), which every run, side and truncation scan
+goes through, and `clustering.ClusterMap._trace_rings`, which includes the
+boundary segment table it reads. Pairs alternate which tree runs first. The
+last line printed is JSON: per-layer medians in ms for each tree, how many
+pairs the change (`--change`, default this checkout) was faster in, the
+cluster count and the document and SVG sha256 of each tree, and the number
+of CPUs the runs could use (smoothing and initial clustering split their
+work over them). `output_ms` sums the layers that turn the cluster map into
+the document: shapes, `to_data_space`, `cluster_document` and `write_json`.
 """
 from __future__ import annotations
 
@@ -42,6 +46,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -85,10 +90,11 @@ def write_points(seed: int, rows: int, text: bool, path: Path) -> None:
         f"{x!r},{y!r},{' '.join(w[:k])}\n" for x, y, w, k in zip(xs, ys, words, counts)))
 
 
-def child(src: str, csv: str, out: str, text: bool) -> None:
-    """One tree's timed run; prints {layer: ms}, the cluster count, the
-    document's sha256 and union's counts, and with `text` the sha256 of the
-    labels and of the merged document."""
+def child(src: str, csv: str, out: str, text: bool, seed: int) -> None:
+    """One tree's timed run; prints {layer: ms}, the collections of each
+    timed command, the cluster count, the sha256 of the document and of its
+    SVG, union's counts, and with `text` the sha256 of the labels and of the
+    merged document."""
     sys.path.insert(0, src)
     import densitycluster.cli as cli
     layers = dict(LAYERS, labeling=("assign_documents", "ctfidf_labels")) if text else LAYERS
@@ -139,9 +145,22 @@ def child(src: str, csv: str, out: str, text: bool) -> None:
             for key, val in list(namespace.items()):
                 if id(val) in wrapped:
                     namespace[key] = wrapped[id(val)]
-    def timed_command(argv: list[str]) -> float:
-        """Seconds of one call of the command after a warm-up call, with
-        `totals` holding that call's layers."""
+    gc_pause = {"started": 0.0, "ms": 0.0, "collections": 0}
+
+    def on_collection(phase, info):
+        if phase == "start":
+            gc_pause["started"] = time.perf_counter()
+        else:
+            gc_pause["ms"] += (time.perf_counter() - gc_pause["started"]) * 1000.0
+            gc_pause["collections"] += 1
+
+    gc.callbacks.append(on_collection)
+    commands, collections = {}, {}
+
+    def timed_command(name: str, argv: list[str]) -> None:
+        """Times one call of the command after a warm-up call: its ms and
+        collector pauses go into `commands` and `collections` under `name`,
+        and `totals` holds that call's layers."""
         with open(os.devnull, "w") as sink:
             stdout, sys.stdout = sys.stdout, sink
             try:
@@ -149,6 +168,7 @@ def child(src: str, csv: str, out: str, text: bool) -> None:
                 for key in totals:
                     totals[key] = 0.0
                 gc.collect()
+                gc_pause.update(ms=0.0, collections=0)
                 t0 = time.perf_counter()
                 rc = cli.main(argv)
                 seconds = time.perf_counter() - t0
@@ -156,40 +176,49 @@ def child(src: str, csv: str, out: str, text: bool) -> None:
                 sys.stdout = stdout
         if rc != 0:
             raise SystemExit(f"{argv[0]} exited {rc}")
-        return seconds
+        commands[name] = seconds * 1000.0
+        commands[f"{name}:gc"] = gc_pause["ms"]
+        collections[name] = gc_pause["collections"]
 
-    totals["cluster_cmd"] = timed_command(
-        ["cluster", "--input", csv, "--output", out, *FLAGS])
+    timed_command("cluster_cmd", ["cluster", "--input", csv, "--output", out, *FLAGS])
     ms = {k: v * 1000.0 for k, v in totals.items() if not k.startswith("labeling.")}
     ms["output_ms"] = sum(ms[k] for k in OUTPUT)
     with open(out, "rb") as fh:
         data = fh.read()
-    result = {"ms": ms, "clusters": data.count(b'{"id":'),
-              "sha256": hashlib.sha256(data).hexdigest(), "union": union}
+    cluster_id = random.Random(seed).choice(
+        [c["id"] for c in json.loads(data)["clusters"]])
+    svg = out + ".svg"
+    timed_command("render_cmd", ["render", "--cluster-json", out, "--output", svg])
+    timed_command("sql_cmd", ["sql", "--cluster-json", out, "--cluster-id", str(cluster_id)])
+    with open(svg, "rb") as fh:
+        svg_sha256 = hashlib.sha256(fh.read()).hexdigest()
+    result = {"ms": ms, "collections": collections, "clusters": data.count(b'{"id":'),
+              "sha256": hashlib.sha256(data).hexdigest(), "svg_sha256": svg_sha256,
+              "union": union}
     if text:
         labels = out + ".labels.json"
-        seconds = timed_command(["label", "--input", csv, "--text-col", "text",
-                                 "--cluster-json", out, "--output", labels])
-        ms["label_cmd"] = seconds * 1000.0
+        timed_command("label_cmd", ["label", "--input", csv, "--text-col", "text",
+                                    "--cluster-json", out, "--output", labels])
         ms.update({f"label:{k}": totals[k] * 1000.0 for k in LABEL_LAYERS})
         merged = out + ".merged.json"
-        seconds = timed_command(["label", "--input", csv, "--text-col", "text", "--merge",
-                                 "--cluster-json", out, "--output", merged])
-        ms["merge_cmd"] = seconds * 1000.0
+        timed_command("merge_cmd", ["label", "--input", csv, "--text-col", "text", "--merge",
+                                    "--cluster-json", out, "--output", merged])
         for key, path in (("labels_sha256", labels), ("merged_sha256", merged)):
             with open(path, "rb") as fh:
                 result[key] = hashlib.sha256(fh.read()).hexdigest()
+    ms.update(commands)
     print(json.dumps(result))
 
 
-def run(tree: Path, csv: Path, work: Path, text: bool) -> dict:
+def run(tree: Path, csv: Path, work: Path, text: bool, seed: int) -> dict:
     """One child run of `tree`, writing into a fresh directory under `work`
     that is removed afterwards."""
     out_dir = Path(tempfile.mkdtemp(dir=work, prefix="run-"))
     try:
         proc = subprocess.run(
             [sys.executable, __file__, "--child", str(tree / "src"), str(csv),
-             str(out_dir / "clusters.json"), "--text" if text else "--no-text"],
+             str(out_dir / "clusters.json"), "--text" if text else "--no-text",
+             "--seed", str(seed)],
             check=True, capture_output=True, text=True)
     finally:
         shutil.rmtree(out_dir)
@@ -210,7 +239,7 @@ def main() -> int:
                     help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        child(*args.child, args.text)
+        child(*args.child, args.text, args.seed)
         return 0
     if args.base is None:
         ap.error("--base is required")
@@ -225,13 +254,15 @@ def main() -> int:
         sides = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in sides:
             tree = args.base if side == "base" else args.change
-            runs[side].append(run(tree.resolve(), csv, work, args.text))
+            runs[side].append(run(tree.resolve(), csv, work, args.text, args.seed))
     layers = list(runs["base"][0]["ms"])
     result = {
         "workload": {"points": args.rows, "grid": GRID, "seed": args.seed, "flags": FLAGS,
                      "text": args.text,
                      "clusters": {s: runs[s][0]["clusters"] for s in runs},
                      "sha256": {s: sorted({r["sha256"] for r in runs[s]}) for s in runs},
+                     "svg_sha256": {s: sorted({r["svg_sha256"] for r in runs[s]})
+                                    for s in runs},
                      "union": {s: runs[s][0]["union"] for s in runs},
                      **{key: {s: sorted({r.get(key) for r in runs[s]}) for s in runs}
                         if args.text else None
@@ -244,6 +275,8 @@ def main() -> int:
         "change_wins": {k: sum(c["ms"][k] < b["ms"][k]
                                for b, c in zip(runs["base"], runs["change"]))
                         for k in layers},
+        "median_collections": {s: {k: statistics.median(r["collections"][k] for r in runs[s])
+                                   for k in runs[s][0]["collections"]} for s in runs},
     }
     print(json.dumps(result))
     return 0

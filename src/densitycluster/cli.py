@@ -18,8 +18,9 @@ from .density import (DEFAULT_PADDING_FRACTION, auto_viewport, bin_points,
                       default_bandwidth, smooth)
 from .errors import ClusterNotFoundError, DataError, ParameterError
 from .geometry import color_clusters, count_color_conflicts
-from .io import (cluster_document, load_points, read_cluster_document,
-                 read_density_dump, write_density_dump, write_json)
+from .io import (cluster_document, collector_paused, load_points,
+                 read_cluster_document, read_density_dump, write_density_dump,
+                 write_json)
 from .labeling import assign_documents, ctfidf_labels, emit_sql_predicate
 from .render import render_svg
 from .synth import bench_run
@@ -311,31 +312,35 @@ _parser: _Parser | None = None
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit code. The command runs with the cyclic
+    garbage collector paused (see `io.collector_paused`): its data hold no
+    cycles, and collections would walk all of it."""
     global _parser
-    if _parser is None:
-        _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args._config = _load_config(args.config)
-        else:
-            args._config = {}
-        return _COMMANDS[args.command](args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 2
-    except ClusterNotFoundError as exc:
-        print(f"error: cluster {exc.args[0]} not found", file=sys.stderr)
-        return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 3
+    with collector_paused():
+        if _parser is None:
+            _parser = build_parser()
+        try:
+            args = _parser.parse_args(argv)
+            if getattr(args, "config", None):
+                args._config = _load_config(args.config)
+            else:
+                args._config = {}
+            return _COMMANDS[args.command](args)
+        except ParameterError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return 2
+        except ClusterNotFoundError as exc:
+            print(f"error: cluster {exc.args[0]} not found", file=sys.stderr)
+            return 3
+        except DataError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

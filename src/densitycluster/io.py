@@ -15,11 +15,14 @@ width*height float32 values row-major.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
 import struct
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from io import BytesIO, TextIOWrapper
 from itertools import accumulate, chain
@@ -495,50 +498,84 @@ class _FloatMemo(dict):
         return value
 
 
+class _Pause:
+    """collector_paused()'s state: how many blocks are inside it, and whether
+    the collector was enabled when the outermost one entered."""
+
+    lock = threading.Lock()
+    depth = 0
+    was_enabled = False
+
+
+@contextmanager
+def collector_paused():
+    """Run the block with the cyclic garbage collector disabled.
+
+    A decoded document and a command's data hold no reference cycles, so a
+    collection during them frees nothing, yet walks every object they hold.
+    The collector is process-wide: only the outermost of nested or
+    concurrent blocks disables it, and the last to leave restores the state
+    that the outermost one found."""
+    with _Pause.lock:
+        if _Pause.depth == 0:
+            _Pause.was_enabled = gc.isenabled()
+            gc.disable()
+        _Pause.depth += 1
+    try:
+        yield
+    finally:
+        with _Pause.lock:
+            _Pause.depth -= 1
+            if _Pause.depth == 0 and _Pause.was_enabled:
+                gc.enable()
+
+
 def read_cluster_document(path) -> ClusterDocument:
     """Load a cluster JSON document and validate it into a ClusterDocument."""
-    try:
-        # decoded in one call: JSON needs no newline translation
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
-        doc = json.loads(text, parse_float=_FloatMemo().__getitem__)
-    # ValueError: not JSON, not UTF-8, or an integer too long to convert
-    except (ValueError, RecursionError) as exc:
-        raise DataError(f"cluster JSON: not valid JSON ({exc})") from exc
-    vp = _expect(doc, "viewport", "", dict)
-    for k in ("x_min", "x_max", "y_min", "y_max", "width", "height"):
-        _expect(vp, k, "viewport.", int if k in ("width", "height") else None)
-    try:
-        viewport = Viewport.from_dict(vp)
-    except (ParameterError, TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"cluster JSON: bad viewport ({exc})") from exc
-    space = _expect(doc, "space", "")
-    if space not in ("data", "pixel"):
-        raise DataError("cluster JSON: space must be \"data\" or \"pixel\"")
-    params = _expect(doc, "params", "", dict)
-    raw = _expect(doc, "clusters", "", list)
-    clusters = _typed_records(raw)
-    if clusters is None:  # name the first missing or mistyped field
-        clusters = []
-        for i, c in enumerate(raw):
-            p = f"clusters[{i}]."
-            clusters.append(ClusterRecord(
-                _expect(c, "id", p, int), _expect(c, "peak", p, dict),
-                _expect(c, "area_px", p), _expect(c, "outer", p, list),
-                _expect(c, "holes", p, list), _expect(c, "rects", p, list),
-                _expect(c, "color", p, int), c.get("label")))
-    if len({c.id for c in clusters}) != len(clusters):
-        raise DataError("cluster JSON: cluster ids must be unique")
-    if any(c.color < 0 for c in clusters):
-        raise DataError("cluster JSON: every color must be >= 0")
-    rings = [c.outer for c in clusters]
-    rings += chain.from_iterable(c.holes for c in clusters)
-    if not set(map(type, rings)) <= {list}:
-        raise DataError("cluster JSON: every ring must be a list of vertices")
-    # JSON spells a boolean `true` or `false`, so only a text holding one of
-    # them needs a type pass over every number ("f" is one memchr: no key or
-    # number that `cluster` writes holds an f)
-    bools = "true" in text or ("f" in text and "false" in text)
-    _check_numbers(list(chain.from_iterable(rings)), 2, "vertex", bools)
-    _check_numbers(list(chain.from_iterable(c.rects for c in clusters)), 4, "rect", bools)
-    return ClusterDocument(space, viewport, params, clusters)
+    with collector_paused():
+        try:
+            # decoded in one call: JSON needs no newline translation
+            with open(path, "rb") as fh:
+                text = fh.read().decode("utf-8")
+            doc = json.loads(text, parse_float=_FloatMemo().__getitem__)
+        # ValueError: not JSON, not UTF-8, or an integer too long to convert
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"cluster JSON: not valid JSON ({exc})") from exc
+        vp = _expect(doc, "viewport", "", dict)
+        for k in ("x_min", "x_max", "y_min", "y_max", "width", "height"):
+            _expect(vp, k, "viewport.", int if k in ("width", "height") else None)
+        try:
+            viewport = Viewport.from_dict(vp)
+        except (ParameterError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"cluster JSON: bad viewport ({exc})") from exc
+        space = _expect(doc, "space", "")
+        if space not in ("data", "pixel"):
+            raise DataError("cluster JSON: space must be \"data\" or \"pixel\"")
+        params = _expect(doc, "params", "", dict)
+        raw = _expect(doc, "clusters", "", list)
+        clusters = _typed_records(raw)
+        if clusters is None:  # name the first missing or mistyped field
+            clusters = []
+            for i, c in enumerate(raw):
+                p = f"clusters[{i}]."
+                clusters.append(ClusterRecord(
+                    _expect(c, "id", p, int), _expect(c, "peak", p, dict),
+                    _expect(c, "area_px", p), _expect(c, "outer", p, list),
+                    _expect(c, "holes", p, list), _expect(c, "rects", p, list),
+                    _expect(c, "color", p, int), c.get("label")))
+        if len({c.id for c in clusters}) != len(clusters):
+            raise DataError("cluster JSON: cluster ids must be unique")
+        if any(c.color < 0 for c in clusters):
+            raise DataError("cluster JSON: every color must be >= 0")
+        rings = [c.outer for c in clusters]
+        rings += chain.from_iterable(c.holes for c in clusters)
+        if not set(map(type, rings)) <= {list}:
+            raise DataError("cluster JSON: every ring must be a list of vertices")
+        # JSON spells a boolean `true` or `false`, so only a text holding one
+        # of them needs a type pass over every number ("f" is one memchr: no
+        # key or number that `cluster` writes holds an f)
+        bools = "true" in text or ("f" in text and "false" in text)
+        _check_numbers(list(chain.from_iterable(rings)), 2, "vertex", bools)
+        _check_numbers(list(chain.from_iterable(c.rects for c in clusters)), 4,
+                       "rect", bools)
+        return ClusterDocument(space, viewport, params, clusters)

@@ -1,4 +1,6 @@
 import contextlib
+import gc
+import io
 import json
 import math
 import os
@@ -17,13 +19,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import densitycluster
+import densitycluster.cli as dcli
 import densitycluster.io as dio
 from densitycluster.cli import main
 from densitycluster.clustering import ClusterParams
 from densitycluster.density import DensityMap, Viewport
 from densitycluster.errors import DataError, NoDataError, ParameterError
-from densitycluster.io import (load_points, read_cluster_document,
-                               read_density_dump, write_density_dump)
+from densitycluster.io import (collector_paused, load_points,
+                               read_cluster_document, read_density_dump,
+                               write_density_dump)
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURE_CSV = DATA / "two_gaussians.csv"
@@ -1062,20 +1066,31 @@ def test_cli_render_one_path_per_cluster_distinct_adjacent_colors(tmp_path):
     assert svg1.read_text().count("<path") == 1
 
 
-def test_cli_many_clusters_round_trip(tmp_path, capsys):
-    # uniform points under a one-pixel kernel, never merged: over a thousand
-    # small clusters, through every document command
+@pytest.fixture(scope="module")
+def uniform_inputs(tmp_path_factory):
+    """Seeded uniform points with a text column, clustered under a one-pixel
+    kernel and never merged: over a thousand clusters. Returns the CSV, the
+    document and its density dump."""
+    d = tmp_path_factory.mktemp("uniform")
     rng = np.random.default_rng(7)
-    xs, ys = rng.uniform(0.0, 250.0, (2, 12_500))
+    xs, ys = rng.uniform(0.0, 250.0, (2, 12_500)).tolist()
     words = np.array(["harbor", "violin", "basalt", "nebula", "ember"])[
-        rng.integers(0, 5, 12_500)]
-    points = tmp_path / "points.csv"
+        rng.integers(0, 5, 12_500)].tolist()
+    points = d / "points.csv"
     points.write_text("x,y,text\n" + "".join(
-        f"{x!r},{y!r},{w}\n" for x, y, w in zip(xs.tolist(), ys.tolist(), words)))
-    doc_path = tmp_path / "c.json"
-    assert main(["cluster", "--input", str(points), "--width", "250",
-                 "--height", "250", "--bandwidth", "1", "--merge-distance", "0",
-                 "--output", str(doc_path)]) == 0
+        f"{x!r},{y!r},{w}\n" for x, y, w in zip(xs, ys, words)))
+    doc, dump = d / "c.json", d / "d.bin"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["cluster", "--input", str(points), "--width", "250",
+                     "--height", "250", "--bandwidth", "1", "--merge-distance", "0",
+                     "--output", str(doc), "--density-out", str(dump)]) == 0
+    assert "Traceback" not in err.getvalue()
+    return points, doc, dump
+
+
+def test_cli_many_clusters_round_trip(tmp_path, capsys, uniform_inputs):
+    # over a thousand small clusters, through every document command
+    points, doc_path, _ = uniform_inputs
     doc = read_cluster_document(doc_path)
     assert len(doc.clusters) > 1000
     again = tmp_path / "again.json"
@@ -1332,3 +1347,168 @@ def test_cli_pixel_space_round_trip(tmp_path):
     assert rc == 0
     rows = json.load(open(labels))
     assert sorted(row["label"][0][0] for row in rows) == ["alpha", "bravo"]
+
+
+# ------------------------------------------------------------------ collector
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector's state before the test (on or off), restored
+    afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def _sql_argv(doc, cluster_id=None):
+    if cluster_id is None:
+        cluster_id = read_cluster_document(doc).clusters[-1].id
+    return ["sql", "--cluster-json", str(doc), "--cluster-id", str(cluster_id)]
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (_sql_argv(DATA / "two_gaussians_clusters.json"), 0),
+    (["cluster"], 1),
+    (["cluster", "--input", "{tmp}/missing.csv", "--output", "{tmp}/x.json"], 2),
+    (_sql_argv(DATA / "two_gaussians_clusters.json", 99999), 3),
+], ids=["0", "1", "2", "3"])
+def test_cli_main_restores_collector_state(tmp_path, capsys, collector, argv, rc):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv) == rc
+    assert gc.isenabled() == collector
+
+
+def test_cli_main_restores_collector_after_an_exception(monkeypatch, collector):
+    inside = []
+
+    def failing(args):
+        inside.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(dcli._COMMANDS, "sql", failing)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(_sql_argv(DATA / "two_gaussians_clusters.json", 1))
+    assert inside == [False]
+    assert gc.isenabled() == collector
+
+
+def test_read_cluster_document_restores_collector_state(tmp_path, collector):
+    assert read_cluster_document(DATA / "two_gaussians_clusters.json").clusters
+    assert gc.isenabled() == collector
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_DOC_BYTES[:-10])
+    with pytest.raises(DataError, match="not valid JSON"):
+        read_cluster_document(bad)
+    assert gc.isenabled() == collector
+
+
+def test_collector_paused_nests(collector):
+    with collector_paused():
+        assert not gc.isenabled()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()  # the outer block still holds the pause
+    assert gc.isenabled() == collector
+
+
+def test_collector_paused_from_two_threads(collector):
+    # a enters, b enters, a leaves, b leaves: the collector stays paused
+    # until b, the last one in, leaves
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def a():
+        with collector_paused():
+            a_in.set()
+            seen["b entered"] = b_in.wait(10)
+        a_out.set()
+
+    def b():
+        seen["a entered"] = a_in.wait(10)
+        with collector_paused():
+            b_in.set()
+            seen["a left"] = a_out.wait(10)
+            seen["paused after a left"] = not gc.isenabled()
+
+    threads = [threading.Thread(target=a), threading.Thread(target=b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == {"a entered": True, "b entered": True, "a left": True,
+                    "paused after a left": True}
+    assert gc.isenabled() == collector
+
+
+def test_cli_commands_leave_no_cyclic_garbage(tmp_path, capsys, uniform_inputs):
+    # run with the collector off, each command's garbage is freed by
+    # reference counting alone, or gc.collect() finds some; the first call
+    # of a command pays one-off cycles (the parser, imports), so each
+    # command runs once before the counted call
+    points, doc, dump = uniform_inputs
+    fixture_doc = DATA / "two_gaussians_clusters.json"
+    commands = [_sql_argv(fixture_doc, 99999), ["cluster"],
+                ["cluster", "--input", str(tmp_path / "missing.csv"),
+                 "--output", str(tmp_path / "x.json")]]
+    for csv, flags, out in ((FIXTURE_CSV, ["--width", "128", "--height", "128"],
+                             tmp_path / "two"),
+                            (points, ["--width", "250", "--height", "250",
+                                      "--bandwidth", "1", "--merge-distance", "0"],
+                             tmp_path / "uniform")):
+        labelled = ["label", "--input", str(csv), "--text-col", "text",
+                    "--cluster-json", f"{out}.json"]
+        commands += [
+            ["cluster", "--input", str(csv), *flags, "--output", f"{out}.json",
+             "--density-out", f"{out}.bin"],
+            ["render", "--cluster-json", f"{out}.json", "--output", f"{out}.svg",
+             "--underlay", f"{out}.bin"],
+            [*labelled, "--output", f"{out}.labels.json"],
+            [*labelled, "--merge", "--output", f"{out}.merged.json"],
+            _sql_argv(fixture_doc if csv == FIXTURE_CSV else doc)]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        found = []
+        for argv in commands:
+            main(argv)
+            gc.collect()
+            rc = main(argv)
+            found.append((argv, rc, gc.collect()))
+    finally:
+        if was:
+            gc.enable()
+    assert [rc for _, rc, _ in found] == [3, 1, 2] + [0] * 10
+    assert [(argv, n) for argv, _, n in found if n] == []
+
+
+def test_many_cluster_document_is_read_without_collections(capsys, uniform_inputs):
+    # the decode makes one container per coordinate pair, ring and record,
+    # which starts collections unless the collector is paused; paused, only
+    # the first allocation after the pause ends starts one, over what the
+    # block left in the youngest generation
+    _, doc, _ = uniform_inputs
+    sql = _sql_argv(doc)
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        json.loads(doc.read_text())
+        unpaused = len(starts)
+        assert len(read_cluster_document(doc).clusters) > 1000
+        in_read = len(starts) - unpaused
+        assert main(sql) == 0
+        in_sql = len(starts) - unpaused - in_read
+    finally:
+        gc.callbacks.remove(record)
+        if not was:
+            gc.disable()
+    assert unpaused > 20
+    assert in_read <= 1 and in_sql <= 1
