@@ -5,6 +5,7 @@ Usage, from the repository root:
 
     python3 scripts/ab_cluster.py --base /path/to/other/checkout --pairs 5
     python3 scripts/ab_cluster.py --base /path/to/other/checkout --rows 1000000 --text
+    python3 scripts/ab_cluster.py --aa --pairs 5
 
 The workload is a uniform map whose clusters number in the tens of
 thousands: `--rows` points (default 200k) drawn uniformly from [0, 1000)^2
@@ -22,17 +23,26 @@ the document it read back with the labels in it.
 Each run is a fresh interpreter that imports `densitycluster` from one tree's
 `src/`, runs `cluster` in-process once to warm up, then once timed, with
 every layer function below wrapped to sum its calls' wall time (inclusive
-of the layers it calls). It then times, the same way, `render` of the
-document (`render_cmd`, without an underlay) and `sql` for one cluster id
-drawn with `--seed` (`sql_cmd`). For every timed command it records the
-cyclic garbage collector's pauses, from `gc.callbacks`: their total ms
+of the layers it calls). It then times `render` of the document
+(`render_cmd`, without an underlay) and `sql` for one cluster id drawn with
+`--seed` (`sql_cmd`): each is called once to warm up, then five times, and
+its time is the median of the five. For every timed command it records the
+cyclic garbage collector's pauses per call, from `gc.callbacks`: their ms
 (`<command>:gc`) and their number (`median_collections`). The map tables
 have two layers of their own: the row-run scanner (`clustering._scan_runs`,
 or `_runs` in trees without it), which every run, side and truncation scan
 goes through, and `clustering.ClusterMap._trace_rings`, which includes the
-boundary segment table it reads. Pairs alternate which tree runs first. The
-last line printed is JSON: per-layer medians in ms for each tree, how many
-pairs the change (`--change`, default this checkout) was faster in, the
+boundary segment table it reads.
+
+A pair is four runs in ABBA order: the base, the change twice, the base
+again (the change first in odd pairs), so that a drift across the pair
+weighs on both trees alike; each tree's value in a pair is the mean of its
+two runs. With `--aa` the base is a copy of the change's own `src/`, made in
+a temporary directory under `.ab_work/` and removed afterwards: the two
+trees run the same code, and their difference is the harness's own spread.
+The last line printed is JSON: per-layer medians and quartiles over pairs
+in ms for each tree, how many pairs the change (`--change`, default this
+checkout) was faster in, the
 cluster count and the document and SVG sha256 of each tree, and the number
 of CPUs the runs could use (smoothing and initial clustering split their
 work over them). `output_ms` sums the layers that turn the cluster map into
@@ -47,6 +57,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import statistics
 import subprocess
@@ -72,6 +83,9 @@ LAYERS = {
 FORMER = {"clustering._scan_runs": "_runs"}
 OUTPUT = ("geometry.shape_for_cluster", "geometry.to_data_space",
           "io.cluster_document", "io.write_json")
+# render and sql each take under a second on the default map, too short for
+# one call to tell a 10% change from the host's noise
+QUERY_CALLS = 5
 LABEL_LAYERS = ("io.load_points", "labeling.assign_documents", "labeling.ctfidf_labels")
 WORDS = ("harbor", "violin", "basalt", "nebula", "sonnet", "glacier", "maple",
          "cipher", "lagoon", "ember", "quartz", "meadow")
@@ -157,39 +171,47 @@ def child(src: str, csv: str, out: str, text: bool, seed: int) -> None:
     gc.callbacks.append(on_collection)
     commands, collections = {}, {}
 
-    def timed_command(name: str, argv: list[str]) -> None:
-        """Times one call of the command after a warm-up call: its ms and
-        collector pauses go into `commands` and `collections` under `name`,
-        and `totals` holds that call's layers."""
+    def timed_command(name: str, argv: list[str], calls: int = 1) -> None:
+        """Times `calls` calls of the command after a warm-up call: the
+        median of their ms, collector pause ms and collections go into
+        `commands` and `collections` under `name`, and `totals` holds the
+        layers of the timed calls, summed."""
+        samples = []
         with open(os.devnull, "w") as sink:
             stdout, sys.stdout = sys.stdout, sink
             try:
                 cli.main(argv)  # warm-up
                 for key in totals:
                     totals[key] = 0.0
-                gc.collect()
-                gc_pause.update(ms=0.0, collections=0)
-                t0 = time.perf_counter()
-                rc = cli.main(argv)
-                seconds = time.perf_counter() - t0
+                for _ in range(calls):
+                    gc.collect()
+                    gc_pause.update(ms=0.0, collections=0)
+                    t0 = time.perf_counter()
+                    rc = cli.main(argv)
+                    seconds = time.perf_counter() - t0
+                    if rc != 0:
+                        raise SystemExit(f"{argv[0]} exited {rc}")
+                    samples.append((seconds * 1000.0, gc_pause["ms"],
+                                    gc_pause["collections"]))
             finally:
                 sys.stdout = stdout
-        if rc != 0:
-            raise SystemExit(f"{argv[0]} exited {rc}")
-        commands[name] = seconds * 1000.0
-        commands[f"{name}:gc"] = gc_pause["ms"]
-        collections[name] = gc_pause["collections"]
+        ms, pause, count = (statistics.median(col) for col in zip(*samples))
+        commands[name], commands[f"{name}:gc"], collections[name] = ms, pause, count
 
     timed_command("cluster_cmd", ["cluster", "--input", csv, "--output", out, *FLAGS])
     ms = {k: v * 1000.0 for k, v in totals.items() if not k.startswith("labeling.")}
     ms["output_ms"] = sum(ms[k] for k in OUTPUT)
     with open(out, "rb") as fh:
         data = fh.read()
+    # each record, and nothing else in the text, starts with {"id": (a label
+    # holding those characters is written with its quotes escaped)
     cluster_id = random.Random(seed).choice(
-        [c["id"] for c in json.loads(data)["clusters"]])
+        list(map(int, re.findall(rb'\{"id":(-?\d+)', data))))
     svg = out + ".svg"
-    timed_command("render_cmd", ["render", "--cluster-json", out, "--output", svg])
-    timed_command("sql_cmd", ["sql", "--cluster-json", out, "--cluster-id", str(cluster_id)])
+    timed_command("render_cmd", ["render", "--cluster-json", out, "--output", svg],
+                  QUERY_CALLS)
+    timed_command("sql_cmd", ["sql", "--cluster-json", out, "--cluster-id", str(cluster_id)],
+                  QUERY_CALLS)
     with open(svg, "rb") as fh:
         svg_sha256 = hashlib.sha256(fh.read()).hexdigest()
     result = {"ms": ms, "collections": collections, "clusters": data.count(b'{"id":'),
@@ -225,9 +247,18 @@ def run(tree: Path, csv: Path, work: Path, text: bool, seed: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def pair_values(runs: list[dict]) -> list[dict]:
+    """Each pair's {layer: ms} of one tree: the mean of its two runs."""
+    return [{k: (a["ms"][k] + b["ms"][k]) / 2 for k in a["ms"]}
+            for a, b in zip(runs[0::2], runs[1::2])]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base", type=Path, help="the other source tree (repository root)")
+    trees = ap.add_mutually_exclusive_group()
+    trees.add_argument("--base", type=Path, help="the other source tree (repository root)")
+    trees.add_argument("--aa", action="store_true",
+                       help="run the change against a copy of its own src/")
     ap.add_argument("--change", type=Path, default=ROOT,
                     help="the changed tree (default: this checkout)")
     ap.add_argument("--pairs", type=int, default=5)
@@ -241,21 +272,31 @@ def main() -> int:
     if args.child:
         child(*args.child, args.text, args.seed)
         return 0
-    if args.base is None:
-        ap.error("--base is required")
+    if args.base is None and not args.aa:
+        ap.error("one of --base and --aa is required")
 
     work = ROOT / ".ab_work"
     work.mkdir(exist_ok=True)
     csv = work / f"uniform-{args.rows}-{GRID}-seed{args.seed}{'-text' * args.text}.csv"
     if not csv.is_file():
         write_points(args.seed, args.rows, args.text, csv)
-    runs = {"base": [], "change": []}
-    for i in range(args.pairs):
-        sides = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for side in sides:
-            tree = args.base if side == "base" else args.change
-            runs[side].append(run(tree.resolve(), csv, work, args.text, args.seed))
-    layers = list(runs["base"][0]["ms"])
+    change = args.change.resolve()
+    copy = Path(tempfile.mkdtemp(dir=work, prefix="aa-")) if args.aa else None
+    try:
+        if copy is not None:
+            shutil.copytree(change / "src", copy / "src",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        tree = {"base": copy or args.base.resolve(), "change": change}
+        runs = {"base": [], "change": []}
+        for i in range(args.pairs):
+            first, second = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in (first, second, second, first):
+                runs[side].append(run(tree[side], csv, work, args.text, args.seed))
+    finally:
+        if copy is not None:
+            shutil.rmtree(copy)
+    pairs = {s: pair_values(runs[s]) for s in runs}
+    layers = list(pairs["base"][0])
     result = {
         "workload": {"points": args.rows, "grid": GRID, "seed": args.seed, "flags": FLAGS,
                      "text": args.text,
@@ -267,13 +308,18 @@ def main() -> int:
                      **{key: {s: sorted({r.get(key) for r in runs[s]}) for s in runs}
                         if args.text else None
                         for key in ("labels_sha256", "merged_sha256")}},
+        "aa": args.aa,
         "pairs": args.pairs,
+        "order": "ABBA: base, change, change, base in even pairs; the change first in odd",
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                        else os.cpu_count(),
-        "median_ms": {s: {k: round(statistics.median(r["ms"][k] for r in runs[s]), 2)
-                          for k in layers} for s in runs},
-        "change_wins": {k: sum(c["ms"][k] < b["ms"][k]
-                               for b, c in zip(runs["base"], runs["change"]))
+        "median_ms": {s: {k: round(statistics.median(p[k] for p in pairs[s]), 2)
+                          for k in layers} for s in pairs},
+        "quartiles_ms": {s: {k: [round(q, 2) for q in statistics.quantiles(
+                                 [p[k] for p in pairs[s]], n=4)[0::2]]
+                             for k in layers} for s in pairs}
+                        if args.pairs > 1 else None,
+        "change_wins": {k: sum(c[k] < b[k] for b, c in zip(pairs["base"], pairs["change"]))
                         for k in layers},
         "median_collections": {s: {k: statistics.median(r["collections"][k] for r in runs[s])
                                    for k in runs[s][0]["collections"]} for s in runs},

@@ -204,7 +204,7 @@ def cmd_cluster(args) -> int:
     write_json(cfg.output, doc)
     if cfg.density_out:
         write_density_dump(cfg.density_out, dm)
-    print(f"clusters={len(doc.clusters)} pixels={vp.width * vp.height} "
+    print(f"clusters={len(doc.columns.id)} pixels={vp.width * vp.height} "
           f"load_ms={load_ms:.1f} kde_ms={(t1 - t0) * 1000:.1f} "
           f"cluster_ms={(t2 - t1) * 1000:.1f}")
     return 0

@@ -24,9 +24,11 @@ import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from io import BytesIO, TextIOWrapper
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -264,15 +266,14 @@ def read_density_dump(path) -> tuple[int, int, np.ndarray]:
 
 @dataclass
 class ClusterRecord:
-    """One cluster of a cluster document; fields in their JSON order. In a
-    built document outer, holes and rects are None (see ClusterDocument)."""
+    """One cluster of a cluster document; fields in their JSON order."""
 
     id: int
     peak: dict
     area_px: int
-    outer: list | None   # [[x, y], ...]
-    holes: list | None   # [[[x, y], ...], ...]
-    rects: list | None   # [[x0, y0, x1, y1], ...]
+    outer: list   # [[x, y], ...]
+    holes: list   # [[[x, y], ...], ...]
+    rects: list   # [[x0, y0, x1, y1], ...]
     color: int
     label: list | None = None
 
@@ -281,26 +282,42 @@ class ClusterRecord:
                 if k != "label" or v is not None}
 
 
-@dataclass
+class ClusterColumns(NamedTuple):
+    """The clusters of a built document, in id order: one entry per cluster
+    in each column, and the JSON text of its (outer, holes, rects)."""
+
+    id: list[int]
+    peak: np.ndarray      # float64 (n, 3): x, y, density
+    area_px: list[int]
+    color: list[int]
+    geometry: list[tuple[str, str, str]]
+
+
 class ClusterDocument:
     """The cluster JSON: geometry in `space` ("data" or "pixel") units.
 
-    A document built by cluster_document holds its geometry only as JSON
-    text, an (outer, holes, rects) triple per cluster (`geometry`), cut from
-    the map's whole-map ring and rect arrays. One read back holds the
-    JSON lists in its records, and `geometry` is None; render_svg and
-    rect_shape read those lists, so they take documents read back.
+    A document read back holds one ClusterRecord per cluster (`clusters`).
+    One built by cluster_document holds `columns` instead, its geometry only
+    as JSON text cut from the map's whole-map ring and rect arrays; its
+    `clusters` are decoded from its own text on first read.
     """
 
-    space: str
-    viewport: Viewport
-    params: dict
-    clusters: list[ClusterRecord]
-    geometry: list[tuple[str, str, str]] | None = None
+    def __init__(self, space: str, viewport: Viewport, params: dict,
+                 clusters: list[ClusterRecord] | None = None,
+                 columns: ClusterColumns | None = None):
+        if (clusters is None) == (columns is None):
+            raise TypeError("a ClusterDocument holds either clusters or columns")
+        self.space, self.viewport, self.params = space, viewport, params
+        self.columns = columns
+        if clusters is not None:
+            self.clusters = clusters
+
+    @cached_property
+    def clusters(self) -> list[ClusterRecord]:
+        """The records of a built document, equal to those of its text read back."""
+        return _typed_records(json.loads(self.to_json())["clusters"])
 
     def to_dict(self) -> dict:
-        if self.geometry is not None:  # the geometry exists only as text
-            return json.loads(self.to_json())
         return {"space": self.space, "viewport": self.viewport.to_dict(),
                 "params": self.params,
                 "clusters": [c.to_dict() for c in self.clusters]}
@@ -308,21 +325,40 @@ class ClusterDocument:
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), separators=(",", ":")), byte for byte.
 
-        The json encoder writes the header and each record's id, peak and
-        area_px, and its label; each record's outer, holes and rects text
-        goes between them: the built text, or for a document read back the
-        text of its lists, whose numbers come from _number_texts.
+        Each record is one template filled with the JSON text of its
+        members. A built document formats its columns: the peak values
+        through _number_texts, and ints by str. For a document read back the
+        encoder writes each record's id, peak and area_px, which may have
+        been edited by hand (ints, non-finite peaks, extra peak keys), and
+        its label, and its geometry lists become text through _number_texts.
         """
         encode = _JSON.encode
         head = encode({"space": self.space, "viewport": self.viewport.to_dict(),
                        "params": self.params})
-        geometry = self.geometry or _list_texts(self.clusters)
-        records = [
-            f'{encode({"id": c.id, "peak": c.peak, "area_px": c.area_px})[:-1]},'
-            f'"outer":{outer},"holes":{holes},"rects":{rects},"color":{c.color}'
-            + ("}" if c.label is None else f',"label":{encode(c.label)}}}')
-            for c, (outer, holes, rects) in zip(self.clusters, geometry)]
-        return f'{head[:-1]},"clusters":[{",".join(records)}]}}'
+        if self.columns is not None:
+            c = self.columns
+            peak = _number_texts(c.peak.ravel())
+            members = [
+                f'"id":{i},"peak":{{"x":{x},"y":{y},"density":{d}}},"area_px":{a}'
+                for i, x, y, d, a in zip(c.id, peak[0::3], peak[1::3], peak[2::3],
+                                         c.area_px)]
+            geometry, colors, labels = c.geometry, c.color, repeat("")
+        else:
+            members = [encode({"id": c.id, "peak": c.peak, "area_px": c.area_px})[1:-1]
+                       for c in self.clusters]
+            geometry = _list_texts(self.clusters)
+            colors = [c.color for c in self.clusters]
+            labels = ["" if c.label is None else f',"label":{encode(c.label)}'
+                      for c in self.clusters]
+        records = [f'{{{m},"outer":{o},"holes":{h},"rects":{r},"color":{k}{lb}}}'
+                   for m, (o, h, r), k, lb in zip(members, geometry, colors, labels)]
+        # one join writes the whole text: no copy of the records follows it
+        start = f'{head[:-1]},"clusters":['
+        if not records:
+            return start + "]}"
+        records[0] = start + records[0]
+        records[-1] += "]}"
+        return ",".join(records)
 
     def rect_shape(self, cluster: ClusterRecord) -> ClusterShape:
         """The cluster's rects as a data-space ClusterShape without rings:
@@ -427,14 +463,11 @@ def cluster_document(viewport: Viewport, params, bandwidth_px: float, cmap,
         rings.offsets.tolist(), ring_span,
         list(map(",".join, zip(*edges[(rects.bounds + [0, y0, 0, y0]).T].tolist()))),
         [rects.span[cid] for cid in ids])
-    clusters = [ClusterRecord(cid, {"x": x, "y": y, "density": d}, area,
-                              None, None, None, colors[cid])
-                for cid, x, y, d, area in zip(
-                    ids, px.astype(float).tolist(), py.astype(float).tolist(),
-                    graph.peak_density[ids].tolist(), graph.area[ids].tolist())]
     params_dict = params.to_dict()
     params_dict["bandwidth_px"] = bandwidth_px
-    return ClusterDocument(space, viewport, params_dict, clusters, geometry)
+    peak = np.column_stack((px, py, graph.peak_density[ids])).astype(np.float64)
+    return ClusterDocument(space, viewport, params_dict, columns=ClusterColumns(
+        ids, peak, graph.area[ids].tolist(), [colors[cid] for cid in ids], geometry))
 
 
 def write_json(path, doc) -> None:
@@ -442,7 +475,8 @@ def write_json(path, doc) -> None:
     # encode, not dump: json.dump always takes the pure-Python encoder
     text = doc.to_json() if isinstance(doc, ClusterDocument) else _JSON.encode(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(text)  # text + "\n" would copy the whole text first
+        fh.write("\n")
 
 
 def _expect(doc, key, path, kind=None):

@@ -1066,6 +1066,10 @@ def test_cli_render_one_path_per_cluster_distinct_adjacent_colors(tmp_path):
     assert svg1.read_text().count("<path") == 1
 
 
+_UNIFORM_FLAGS = ["--width", "250", "--height", "250", "--bandwidth", "1",
+                  "--merge-distance", "0"]
+
+
 @pytest.fixture(scope="module")
 def uniform_inputs(tmp_path_factory):
     """Seeded uniform points with a text column, clustered under a one-pixel
@@ -1081,8 +1085,7 @@ def uniform_inputs(tmp_path_factory):
         f"{x!r},{y!r},{w}\n" for x, y, w in zip(xs, ys, words)))
     doc, dump = d / "c.json", d / "d.bin"
     with contextlib.redirect_stderr(io.StringIO()) as err:
-        assert main(["cluster", "--input", str(points), "--width", "250",
-                     "--height", "250", "--bandwidth", "1", "--merge-distance", "0",
+        assert main(["cluster", "--input", str(points), *_UNIFORM_FLAGS,
                      "--output", str(doc), "--density-out", str(dump)]) == 0
     assert "Traceback" not in err.getvalue()
     return points, doc, dump
@@ -1109,6 +1112,45 @@ def test_cli_many_clusters_round_trip(tmp_path, capsys, uniform_inputs):
     assert main(["sql", "--cluster-json", str(doc_path),
                  "--cluster-id", str(doc.clusters[-1].id)]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cluster_command_makes_no_records(tmp_path, monkeypatch, uniform_inputs):
+    # `cluster` writes its document from columns, not one record per cluster
+    points, doc_path, _ = uniform_inputs
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("cluster made a ClusterRecord")
+
+    monkeypatch.setattr(dio, "ClusterRecord", no_record)
+    out = tmp_path / "c.json"
+    assert main(["cluster", "--input", str(points), *_UNIFORM_FLAGS,
+                 "--output", str(out)]) == 0
+    assert out.read_bytes() == doc_path.read_bytes()
+
+
+@pytest.mark.parametrize("space", ["data", "pixel"])
+def test_many_cluster_documents_write_byte_identically(tmp_path, monkeypatch,
+                                                       uniform_inputs, space):
+    # past a thousand clusters (the fixture corpus's largest map has 98), the
+    # document `cluster` builds writes json's bytes, and its text read back
+    # writes them again
+    points, _, _ = uniform_inputs
+    built = []
+
+    def keep(*args, **kwargs):
+        built.append(dio.cluster_document(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dcli, "cluster_document", keep)
+    first, again = tmp_path / "c.json", tmp_path / "again.json"
+    assert main(["cluster", "--input", str(points), *_UNIFORM_FLAGS,
+                 *(["--pixel-space"] if space == "pixel" else []),
+                 "--output", str(first)]) == 0
+    doc, = built
+    assert doc.space == space and len(doc.columns.id) > 1000
+    assert first.read_text() == json.dumps(doc.to_dict(), separators=(",", ":")) + "\n"
+    dio.write_json(again, read_cluster_document(first))
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_cli_label_and_merge(tmp_path):
