@@ -109,7 +109,7 @@ def _run_config(args) -> RunConfig:
     return cfg
 
 
-def _add_io_flags(p, need_output=True):
+def _add_io_flags(p):
     p.add_argument("--input", help="points file (CSV with header, or JSON lines)")
     p.add_argument("--format", choices=("csv", "jsonl"), default=None)
     p.add_argument("--x-col", dest="x_col")
@@ -117,8 +117,7 @@ def _add_io_flags(p, need_output=True):
     p.add_argument("--weight-col", dest="weight_col")
     p.add_argument("--text-col", dest="text_col")
     p.add_argument("--config", help="JSON config file; explicit flags override it")
-    if need_output:
-        p.add_argument("--output", help="output file path")
+    p.add_argument("--output", help="output file path")
 
 
 def build_parser() -> _Parser:
@@ -200,11 +199,11 @@ def cmd_cluster(args) -> int:
         print(f"warning: {conflicts} adjacent cluster pair(s) share a color",
               file=sys.stderr)
     space = "pixel" if getattr(args, "pixel_space", False) else "data"
-    doc = cluster_document(vp, params, bandwidth, cmap, graph, colors, space)
-    write_json(cfg.output, doc)
+    write_json(cfg.output,
+               cluster_document(vp, params, bandwidth, cmap, graph, colors, space))
     if cfg.density_out:
         write_density_dump(cfg.density_out, dm)
-    print(f"clusters={len(doc.columns.id)} pixels={vp.width * vp.height} "
+    print(f"clusters={len(colors)} pixels={vp.width * vp.height} "
           f"load_ms={load_ms:.1f} kde_ms={(t1 - t0) * 1000:.1f} "
           f"cluster_ms={(t2 - t1) * 1000:.1f}")
     return 0

@@ -1,7 +1,9 @@
 """File formats: point ingestion, density dumps, cluster and label JSON.
 
-The cluster JSON is owned by ClusterDocument: `cluster_document` builds it,
-`read_cluster_document` validates a file into it, and `to_json` writes it.
+The cluster JSON is written as text by `cluster_document`, straight from a
+clustering's columns and shape tables. `read_cluster_document` validates a
+file into a ClusterDocument, whose `to_json` writes it back. Both fill one
+record template, `_document_text`.
 
 Number text is each value's shortest round-trip repr. A document's geometry
 lies on pixel corners, so it holds few distinct coordinates: `_number_texts`
@@ -24,11 +26,9 @@ import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from io import BytesIO, TextIOWrapper
 from itertools import accumulate, chain, repeat
-from operator import attrgetter
-from typing import NamedTuple
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -282,40 +282,15 @@ class ClusterRecord:
                 if k != "label" or v is not None}
 
 
-class ClusterColumns(NamedTuple):
-    """The clusters of a built document, in id order: one entry per cluster
-    in each column, and the JSON text of its (outer, holes, rects)."""
-
-    id: list[int]
-    peak: np.ndarray      # float64 (n, 3): x, y, density
-    area_px: list[int]
-    color: list[int]
-    geometry: list[tuple[str, str, str]]
-
-
+@dataclass
 class ClusterDocument:
-    """The cluster JSON: geometry in `space` ("data" or "pixel") units.
+    """A cluster JSON read back: geometry in `space` ("data" or "pixel")
+    units, one ClusterRecord per cluster."""
 
-    A document read back holds one ClusterRecord per cluster (`clusters`).
-    One built by cluster_document holds `columns` instead, its geometry only
-    as JSON text cut from the map's whole-map ring and rect arrays; its
-    `clusters` are decoded from its own text on first read.
-    """
-
-    def __init__(self, space: str, viewport: Viewport, params: dict,
-                 clusters: list[ClusterRecord] | None = None,
-                 columns: ClusterColumns | None = None):
-        if (clusters is None) == (columns is None):
-            raise TypeError("a ClusterDocument holds either clusters or columns")
-        self.space, self.viewport, self.params = space, viewport, params
-        self.columns = columns
-        if clusters is not None:
-            self.clusters = clusters
-
-    @cached_property
-    def clusters(self) -> list[ClusterRecord]:
-        """The records of a built document, equal to those of its text read back."""
-        return _typed_records(json.loads(self.to_json())["clusters"])
+    space: str
+    viewport: Viewport
+    params: dict
+    clusters: list[ClusterRecord]
 
     def to_dict(self) -> dict:
         return {"space": self.space, "viewport": self.viewport.to_dict(),
@@ -325,40 +300,18 @@ class ClusterDocument:
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), separators=(",", ":")), byte for byte.
 
-        Each record is one template filled with the JSON text of its
-        members. A built document formats its columns: the peak values
-        through _number_texts, and ints by str. For a document read back the
-        encoder writes each record's id, peak and area_px, which may have
-        been edited by hand (ints, non-finite peaks, extra peak keys), and
-        its label, and its geometry lists become text through _number_texts.
+        The encoder writes each record's id, peak and area_px, which may
+        have been edited by hand (ints, non-finite peaks, extra peak keys),
+        and its label; its geometry lists become text through _number_texts.
         """
         encode = _JSON.encode
-        head = encode({"space": self.space, "viewport": self.viewport.to_dict(),
-                       "params": self.params})
-        if self.columns is not None:
-            c = self.columns
-            peak = _number_texts(c.peak.ravel())
-            members = [
-                f'"id":{i},"peak":{{"x":{x},"y":{y},"density":{d}}},"area_px":{a}'
-                for i, x, y, d, a in zip(c.id, peak[0::3], peak[1::3], peak[2::3],
-                                         c.area_px)]
-            geometry, colors, labels = c.geometry, c.color, repeat("")
-        else:
-            members = [encode({"id": c.id, "peak": c.peak, "area_px": c.area_px})[1:-1]
-                       for c in self.clusters]
-            geometry = _list_texts(self.clusters)
-            colors = [c.color for c in self.clusters]
-            labels = ["" if c.label is None else f',"label":{encode(c.label)}'
-                      for c in self.clusters]
-        records = [f'{{{m},"outer":{o},"holes":{h},"rects":{r},"color":{k}{lb}}}'
-                   for m, (o, h, r), k, lb in zip(members, geometry, colors, labels)]
-        # one join writes the whole text: no copy of the records follows it
-        start = f'{head[:-1]},"clusters":['
-        if not records:
-            return start + "]}"
-        records[0] = start + records[0]
-        records[-1] += "]}"
-        return ",".join(records)
+        return _document_text(
+            self.space, self.viewport, self.params,
+            [encode({"id": c.id, "peak": c.peak, "area_px": c.area_px})[1:-1]
+             for c in self.clusters],
+            _list_texts(self.clusters), [c.color for c in self.clusters],
+            ["" if c.label is None else f',"label":{encode(c.label)}'
+             for c in self.clusters])
 
     def rect_shape(self, cluster: ClusterRecord) -> ClusterShape:
         """The cluster's rects as a data-space ClusterShape without rings:
@@ -427,16 +380,34 @@ def _list_texts(clusters: list[ClusterRecord]) -> list[tuple[str, str, str]]:
         zip(rect_cut, rect_cut[1:]))
 
 
+def _document_text(space: str, viewport: Viewport, params: dict, members,
+                   geometry, colors, labels) -> str:
+    """The cluster JSON, one record template per cluster filled with the
+    JSON text of its members: its id, peak and area_px (without braces),
+    its (outer, holes, rects), its color, and "" or its `,"label":…`."""
+    head = _JSON.encode({"space": space, "viewport": viewport.to_dict(),
+                         "params": params})
+    records = [f'{{{m},"outer":{o},"holes":{h},"rects":{r},"color":{k}{lb}}}'
+               for m, (o, h, r), k, lb in zip(members, geometry, colors, labels)]
+    # one join writes the whole text: no copy of the records follows it
+    start = f'{head[:-1]},"clusters":['
+    if not records:
+        return start + "]}"
+    records[0] = start + records[0]
+    records[-1] += "]}"
+    return ",".join(records)
+
+
 def cluster_document(viewport: Viewport, params, bandwidth_px: float, cmap,
-                     graph, colors: dict[int, int],
-                     space: str = "data") -> ClusterDocument:
-    """The document of every cluster of `graph`, in id order, in `space` units.
+                     graph, colors: dict[int, int], space: str = "data") -> str:
+    """The JSON text of every cluster of `graph`, in id order, in `space` units.
 
     Peaks and areas come from the graph's columns, rings and rects from
     cmap's tables (rings under params.connectivity). A corner's text is its
     pixel edges' text, lo + p*step in data units (to_data_space's
-    expression), formatted once per edge. A cluster without exactly one
-    outer ring raises trace_boundary's DataError.
+    expression), formatted once per edge; a peak value's is json's, formatted
+    once per distinct value, and the ints' is str's. A cluster without
+    exactly one outer ring raises trace_boundary's DataError.
     """
     ids = np.flatnonzero(graph.peak >= 0)
     py, px = np.divmod(graph.peak[ids], graph.width)
@@ -465,18 +436,32 @@ def cluster_document(viewport: Viewport, params, bandwidth_px: float, cmap,
         [rects.span[cid] for cid in ids])
     params_dict = params.to_dict()
     params_dict["bandwidth_px"] = bandwidth_px
-    peak = np.column_stack((px, py, graph.peak_density[ids])).astype(np.float64)
-    return ClusterDocument(space, viewport, params_dict, columns=ClusterColumns(
-        ids, peak, graph.area[ids].tolist(), [colors[cid] for cid in ids], geometry))
+    peak = _number_texts(np.column_stack(
+        (px, py, graph.peak_density[ids])).astype(np.float64).ravel())
+    members = [f'"id":{i},"peak":{{"x":{x},"y":{y},"density":{d}}},"area_px":{a}'
+               for i, x, y, d, a in zip(ids, peak[0::3], peak[1::3], peak[2::3],
+                                        graph.area[ids].tolist())]
+    return _document_text(space, viewport, params_dict, members, geometry,
+                          [colors[cid] for cid in ids], repeat(""))
 
 
 def write_json(path, doc) -> None:
-    """Write a ClusterDocument, or any JSON data, as compact JSON and a newline."""
+    """Write JSON text (a str, such as cluster_document's) as it is, or a
+    ClusterDocument or any other JSON data as compact JSON; then a newline."""
+    if isinstance(doc, ClusterDocument):
+        doc = doc.to_json()
     # encode, not dump: json.dump always takes the pure-Python encoder
-    text = doc.to_json() if isinstance(doc, ClusterDocument) else _JSON.encode(doc)
+    text = doc if isinstance(doc, str) else _JSON.encode(doc)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)  # text + "\n" would copy the whole text first
         fh.write("\n")
+
+
+# every cluster field but the optional label, in JSON order, with the type
+# its value must have (None: any)
+_FIELDS = (("id", int), ("peak", dict), ("area_px", None), ("outer", list),
+           ("holes", list), ("rects", list), ("color", int))
+_field_values = itemgetter(*(name for name, _ in _FIELDS))
 
 
 def _expect(doc, key, path, kind=None):
@@ -486,23 +471,6 @@ def _expect(doc, key, path, kind=None):
     if kind is not None and (not isinstance(val, kind) or isinstance(val, bool)):
         raise DataError(f"cluster JSON: field {path}{key} has wrong type")
     return val
-
-
-def _typed_records(raw: list) -> list[ClusterRecord] | None:
-    """The records of cluster objects whose every field is present and of
-    its type, checked a column at a time; None if any is not."""
-    try:
-        clusters = [ClusterRecord(c["id"], c["peak"], c["area_px"], c["outer"],
-                                  c["holes"], c["rects"], c["color"], c.get("label"))
-                    for c in raw]
-    except (KeyError, TypeError):  # not an object, or a field missing
-        return None
-    # json.loads makes exact types, so type(), unlike isinstance, rejects bool
-    for field, kind in (("id", int), ("peak", dict), ("outer", list),
-                        ("holes", list), ("rects", list), ("color", int)):
-        if not set(map(type, map(attrgetter(field), clusters))) <= {kind}:
-            return None
-    return clusters
 
 
 def _check_numbers(items, arity, what, bools: bool) -> None:
@@ -587,16 +555,19 @@ def read_cluster_document(path) -> ClusterDocument:
             raise DataError("cluster JSON: space must be \"data\" or \"pixel\"")
         params = _expect(doc, "params", "", dict)
         raw = _expect(doc, "clusters", "", list)
-        clusters = _typed_records(raw)
-        if clusters is None:  # name the first missing or mistyped field
-            clusters = []
-            for i, c in enumerate(raw):
-                p = f"clusters[{i}]."
-                clusters.append(ClusterRecord(
-                    _expect(c, "id", p, int), _expect(c, "peak", p, dict),
-                    _expect(c, "area_px", p), _expect(c, "outer", p, list),
-                    _expect(c, "holes", p, list), _expect(c, "rects", p, list),
-                    _expect(c, "color", p, int), c.get("label")))
+        try:
+            clusters = [ClusterRecord(*_field_values(c), c.get("label")) for c in raw]
+        except (KeyError, TypeError):  # not an object, or a field missing
+            clusters = None
+        # types checked a column at a time: json.loads makes exact types, so
+        # type(), unlike isinstance, rejects bool
+        if clusters is None or not all(
+                set(map(type, map(attrgetter(name), clusters))) <= {kind}
+                for name, kind in _FIELDS if kind is not None):
+            # name the first missing or mistyped field
+            clusters = [ClusterRecord(*(_expect(c, name, f"clusters[{i}].", kind)
+                                        for name, kind in _FIELDS), c.get("label"))
+                        for i, c in enumerate(raw)]
         if len({c.id for c in clusters}) != len(clusters):
             raise DataError("cluster JSON: cluster ids must be unique")
         if any(c.color < 0 for c in clusters):

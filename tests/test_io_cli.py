@@ -393,6 +393,26 @@ def test_cluster_document_validation(tmp_path):
         read_cluster_document(path)
 
 
+@pytest.mark.parametrize("index, fault, message", [
+    pytest.param(2, lambda c: {**c, "color": "1"},
+                 "cluster JSON: field clusters[2].color has wrong type", id="color_text"),
+    pytest.param(1, lambda c: {k: v for k, v in c.items() if k != "peak"},
+                 "cluster JSON: missing field clusters[1].peak", id="no_peak"),
+    pytest.param(0, lambda c: [c["id"]],
+                 "cluster JSON: missing field clusters[0].id", id="not_an_object")])
+def test_cluster_document_names_the_first_bad_field(tmp_path, index, fault, message):
+    doc = json.load(open(DATA / "two_gaussians_clusters.json"))
+    clusters = doc["clusters"]
+    clusters.append({**clusters[0], "id": 1 + max(c["id"] for c in clusters)})
+    assert len(clusters) == 3
+    clusters[index] = fault(clusters[index])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as err:
+        read_cluster_document(path)
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------------------ CLI
 
 def test_cli_cluster_fixture_two_clusters(tmp_path, capsys):
@@ -1043,9 +1063,9 @@ def test_cli_render_one_path_per_cluster_distinct_adjacent_colors(tmp_path):
     cmap, graph = cluster_density_map(dm, params)
     assert len(graph.nodes) == 2 and graph.edges  # still touching after truncation
     colors = color_clusters(graph, 10)
-    doc = cluster_document(dm.viewport, params, 0.0, cmap, graph, colors)
     cluster_json = tmp_path / "near.json"
-    write_json(cluster_json, doc.to_dict())
+    write_json(cluster_json, cluster_document(dm.viewport, params, 0.0, cmap, graph,
+                                              colors))
 
     svg = tmp_path / "g.svg"
     main(["render", "--cluster-json", str(cluster_json), "--output", str(svg)])
@@ -1057,10 +1077,9 @@ def test_cli_render_one_path_per_cluster_distinct_adjacent_colors(tmp_path):
     # one cluster -> exactly one path element
     cmap1, graph1 = cluster_density_map(dm, ClusterParams(merge_distance_px=8.0))
     assert len(graph1.nodes) == 1
-    doc1 = cluster_document(dm.viewport, ClusterParams(), 0.0, cmap1, graph1,
-                            color_clusters(graph1, 10))
     one_json = tmp_path / "one.json"
-    write_json(one_json, doc1.to_dict())
+    write_json(one_json, cluster_document(dm.viewport, ClusterParams(), 0.0, cmap1,
+                                          graph1, color_clusters(graph1, 10)))
     svg1 = tmp_path / "one.svg"
     main(["render", "--cluster-json", str(one_json), "--output", str(svg1)])
     assert svg1.read_text().count("<path") == 1
@@ -1129,28 +1148,50 @@ def test_cluster_command_makes_no_records(tmp_path, monkeypatch, uniform_inputs)
 
 
 @pytest.mark.parametrize("space", ["data", "pixel"])
-def test_many_cluster_documents_write_byte_identically(tmp_path, monkeypatch,
+def test_many_cluster_documents_write_byte_identically(tmp_path, capsys,
                                                        uniform_inputs, space):
     # past a thousand clusters (the fixture corpus's largest map has 98), the
-    # document `cluster` builds writes json's bytes, and its text read back
-    # writes them again
+    # text `cluster` writes is json's bytes, and read back it writes them
+    # again; the printed count is the document's record count
     points, _, _ = uniform_inputs
-    built = []
-
-    def keep(*args, **kwargs):
-        built.append(dio.cluster_document(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(dcli, "cluster_document", keep)
     first, again = tmp_path / "c.json", tmp_path / "again.json"
     assert main(["cluster", "--input", str(points), *_UNIFORM_FLAGS,
                  *(["--pixel-space"] if space == "pixel" else []),
                  "--output", str(first)]) == 0
-    doc, = built
-    assert doc.space == space and len(doc.columns.id) > 1000
-    assert first.read_text() == json.dumps(doc.to_dict(), separators=(",", ":")) + "\n"
+    text = first.read_text()
+    parsed = json.loads(text)
+    assert parsed["space"] == space and len(parsed["clusters"]) > 1000
+    assert re.search(r"\bclusters=(\d+) ", capsys.readouterr().out)[1] \
+        == str(len(parsed["clusters"]))
+    assert text == json.dumps(parsed, separators=(",", ":")) + "\n"
     dio.write_json(again, read_cluster_document(first))
     assert again.read_bytes() == first.read_bytes()
+
+
+def test_cluster_document_without_clusters(tmp_path, capsys):
+    # a peak threshold above every density leaves no cluster: every command
+    # reads and writes the empty list
+    doc, again, labels, merged = (tmp_path / n for n in
+                                  ("c.json", "again.json", "l.json", "m.json"))
+    assert main(["cluster", "--input", str(FIXTURE_CSV), "--width", "128",
+                 "--height", "128", "--min-peak-density", "1e9",
+                 "--output", str(doc)]) == 0
+    assert capsys.readouterr().out.startswith("clusters=0 ")
+    text = doc.read_text()
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+    assert json.loads(text)["clusters"] == []
+    dio.write_json(again, read_cluster_document(doc))
+    assert again.read_bytes() == doc.read_bytes()
+    assert main(["render", "--cluster-json", str(doc),
+                 "--output", str(tmp_path / "c.svg")]) == 0
+    assert capsys.readouterr().out.startswith("paths=0 ")
+    label = ["label", "--input", str(FIXTURE_CSV), "--text-col", "text",
+             "--cluster-json", str(doc)]
+    assert main([*label, "--output", str(labels)]) == 0
+    assert labels.read_text() == "[]\n"
+    assert main([*label, "--merge", "--output", str(merged)]) == 0
+    assert merged.read_bytes() == doc.read_bytes()
+    assert main(["sql", "--cluster-json", str(doc), "--cluster-id", "0"]) == 3
 
 
 def test_cli_label_and_merge(tmp_path):
