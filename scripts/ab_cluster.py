@@ -17,8 +17,10 @@ that no run starts with the previous run's output files. With `--text` the
 CSV has a third column, `text`, of two to four words drawn with the same
 seed from a fixed list, and each run also times `label --text-col text` on
 the document `cluster` wrote, with the layers in LABEL_LAYERS (their keys
-start with `label:`), and then `label --merge` (`merge_cmd`), which writes
-the document it read back with the labels in it.
+start with `label:`; `io.labels_json` makes the labels file's text, which
+`io.write_json` writes), and then `label --merge` (`merge_cmd`), which writes
+the document it read back with the labels in it (`merge:io.write_json`, the
+document's text and its writing).
 
 Each run is a fresh interpreter that imports `densitycluster` from one tree's
 `src/`, runs `cluster` in-process once to warm up, then once timed, with
@@ -86,7 +88,10 @@ OUTPUT = ("geometry.shape_for_cluster", "geometry.to_data_space",
 # render and sql each take under a second on the default map, too short for
 # one call to tell a 10% change from the host's noise
 QUERY_CALLS = 5
-LABEL_LAYERS = ("io.load_points", "labeling.assign_documents", "labeling.ctfidf_labels")
+# a tree without io.labels_json builds the labels file's rows in cli.label
+# and encodes them in io.write_json
+LABEL_LAYERS = ("io.load_points", "labeling.assign_documents", "labeling.ctfidf_labels",
+                "io.labels_json", "io.write_json")
 WORDS = ("harbor", "violin", "basalt", "nebula", "sonnet", "glacier", "maple",
          "cipher", "lagoon", "ember", "quartz", "meadow")
 
@@ -111,7 +116,11 @@ def child(src: str, csv: str, out: str, text: bool, seed: int) -> None:
     merged document."""
     sys.path.insert(0, src)
     import densitycluster.cli as cli
-    layers = dict(LAYERS, labeling=("assign_documents", "ctfidf_labels")) if text else LAYERS
+    layers = {m: list(fs) for m, fs in LAYERS.items()}
+    for name in LABEL_LAYERS if text else ():
+        mod, func = name.split(".")
+        if func not in layers.setdefault(mod, []):
+            layers[mod].append(func)
     totals = dict.fromkeys((f"{m}.{f}" for m, fs in layers.items() for f in fs), 0.0)
     union = {}
 
@@ -199,7 +208,7 @@ def child(src: str, csv: str, out: str, text: bool, seed: int) -> None:
         commands[name], commands[f"{name}:gc"], collections[name] = ms, pause, count
 
     timed_command("cluster_cmd", ["cluster", "--input", csv, "--output", out, *FLAGS])
-    ms = {k: v * 1000.0 for k, v in totals.items() if not k.startswith("labeling.")}
+    ms = {f"{m}.{f}": totals[f"{m}.{f}"] * 1000.0 for m, fs in LAYERS.items() for f in fs}
     ms["output_ms"] = sum(ms[k] for k in OUTPUT)
     with open(out, "rb") as fh:
         data = fh.read()
@@ -225,6 +234,7 @@ def child(src: str, csv: str, out: str, text: bool, seed: int) -> None:
         merged = out + ".merged.json"
         timed_command("merge_cmd", ["label", "--input", csv, "--text-col", "text", "--merge",
                                     "--cluster-json", out, "--output", merged])
+        ms["merge:io.write_json"] = totals["io.write_json"] * 1000.0
         for key, path in (("labels_sha256", labels), ("merged_sha256", merged)):
             with open(path, "rb") as fh:
                 result[key] = hashlib.sha256(fh.read()).hexdigest()

@@ -18,7 +18,7 @@ from .density import (DEFAULT_PADDING_FRACTION, auto_viewport, bin_points,
                       default_bandwidth, smooth)
 from .errors import ClusterNotFoundError, DataError, ParameterError
 from .geometry import color_clusters, count_color_conflicts
-from .io import (cluster_document, collector_paused, load_points,
+from .io import (cluster_document, collector_paused, labels_json, load_points,
                  read_cluster_document, read_density_dump, write_density_dump,
                  write_json)
 from .labeling import assign_documents, ctfidf_labels, emit_sql_predicate
@@ -242,18 +242,16 @@ def cmd_label(args) -> int:
     shapes = [doc.rect_shape(c) for c in doc.clusters]
     assignment = assign_documents(batch, shapes, doc.viewport)
     labels = ctfidf_labels(assignment, batch.texts, args.top_k)
-    label_rows = [{"id": lr.cluster_id,
-                   "label": [[t, s] for t, s in lr.top_terms]}
-                  for lr in sorted(labels, key=lambda lr: lr.cluster_id)]
     if args.merge:
-        by_id = {row["id"]: row["label"] for row in label_rows}
+        by_id = {lr.cluster_id: lr.top_terms for lr in labels}
         for c in doc.clusters:
             c.label = by_id.get(c.id, [])
         write_json(cfg.output, doc)
     else:
-        write_json(cfg.output, label_rows)
+        write_json(cfg.output, labels_json([lr.cluster_id for lr in labels],
+                                           [lr.top_terms for lr in labels]))
     assigned = sum(len(v) for v in assignment.values())
-    print(f"labeled={len(label_rows)} documents={len(batch)} assigned={assigned} "
+    print(f"labeled={len(labels)} documents={len(batch)} assigned={assigned} "
           f"load_ms={load_ms:.1f}")
     return 0
 

@@ -7,9 +7,10 @@ record template, `_document_text`.
 
 Number text is each value's shortest round-trip repr. A document's geometry
 lies on pixel corners, so it holds few distinct coordinates: `_number_texts`
-formats each distinct value once, for the cluster JSON, the SVG paths and
-the SQL predicates alike, and `read_cluster_document` decodes each distinct
-number text once.
+formats each distinct value once, for the cluster JSON, the SVG paths, the
+SQL predicates and the label scores alike, and `read_cluster_document`
+decodes each distinct number text once. `_label_texts` writes every label,
+for the labels file (`labels_json`) and for `to_json`.
 
 Density dump layout: little-endian, two uint32 (width, height), then
 width*height float32 values row-major.
@@ -301,16 +302,19 @@ class ClusterDocument:
         """json.dumps(self.to_dict(), separators=(",", ":")), byte for byte.
 
         The encoder writes each record's id, peak and area_px, which may
-        have been edited by hand (ints, non-finite peaks, extra peak keys),
-        and its label; its geometry lists become text through _number_texts.
+        have been edited by hand (ints, non-finite peaks, extra peak keys);
+        its geometry lists become text through _number_texts, and its label
+        through _label_texts.
         """
         encode = _JSON.encode
+        labels = iter(_label_texts([c.label for c in self.clusters
+                                    if c.label is not None]))
         return _document_text(
             self.space, self.viewport, self.params,
             [encode({"id": c.id, "peak": c.peak, "area_px": c.area_px})[1:-1]
              for c in self.clusters],
             _list_texts(self.clusters), [c.color for c in self.clusters],
-            ["" if c.label is None else f',"label":{encode(c.label)}'
+            ["" if c.label is None else ',"label":' + next(labels)
              for c in self.clusters])
 
     def rect_shape(self, cluster: ClusterRecord) -> ClusterShape:
@@ -355,6 +359,35 @@ def _item_texts(items, arity: int) -> list[str]:
 def _nested_list(items: list[str]) -> str:
     """The JSON list of items given without their brackets."""
     return "[[" + "],[".join(items) + "]]" if items else "[]"
+
+
+def _label_texts(labels: list) -> list[str]:
+    """json's text of each label, in order.
+
+    Labels as `label` makes them, lists of (term, score) pairs of a str and
+    a float, are written from the text of each distinct term, encoded once,
+    and of each distinct score, formatted once by _number_texts. If any
+    label has another form (a hand-edited one: ints, nesting, not a list),
+    the encoder writes each label."""
+    if set(map(type, labels)) <= {list, tuple}:
+        pairs = list(chain.from_iterable(labels))
+        if set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}:
+            flat = list(chain.from_iterable(pairs))
+            terms, scores = flat[0::2], flat[1::2]
+            if set(map(type, terms)) <= {str} and set(map(type, scores)) <= {float}:
+                term_text = {t: _JSON.encode(t) for t in set(terms)}
+                items = list(map(",".join, zip(map(term_text.__getitem__, terms),
+                                               _number_texts(scores))))
+                cut = list(accumulate(map(len, labels), initial=0))
+                return [_nested_list(items[a:b]) for a, b in zip(cut, cut[1:])]
+    return list(map(_JSON.encode, labels))
+
+
+def labels_json(ids: list[int], labels: list) -> str:
+    """The labels file's JSON text, `[{"id":…,"label":[[term,score],…]},…]`:
+    one row per cluster id and its label (see _label_texts), in order."""
+    rows = map('{{"id":{},"label":{}}}'.format, ids, _label_texts(labels))
+    return f'[{",".join(rows)}]'
 
 
 def _geometry_texts(pairs, ring_cut, ring_span, boxes, rect_span

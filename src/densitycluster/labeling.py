@@ -4,6 +4,10 @@ Documents are attached to clusters by rectangle containment (half-open, in
 data space), which is exactly the membership the emitted SQL predicate
 selects, so labels computed in-process agree with labels computed by running
 the predicate in a database.
+
+`ctfidf_labels` returns the labels as data; `io.labels_json` writes the
+labels file's text, and `ClusterDocument.to_json` the labels merged into a
+document.
 """
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -145,49 +150,60 @@ def assign_documents(points: PointBatch, shapes: list[ClusterShape],
 
 def ctfidf_labels(assignment: dict[int, np.ndarray], documents,
                   k: int = 5) -> list[LabelResult]:
-    """Top-k label terms per cluster by class-based TF-IDF.
+    """Top-k label terms per cluster by class-based TF-IDF, in cluster id
+    order (Grootendorst, BERTopic, arXiv 2203.05794).
 
     score(t, c) = tf(t, c) * log(1 + A / corpus_count(t)) with
     tf(t, c) = count of t in c / total tokens in c and A = mean token count
-    per cluster. Ties rank lexicographically. Clusters without tokens get an
-    empty label. Each document is in at most one cluster, as
-    `assign_documents` gives.
+    per cluster. Only positive scores are kept. Ties rank lexicographically.
+    Clusters without tokens get an empty label. Each document is in at most
+    one cluster, as `assign_documents` gives.
+
+    Each cluster's tokens are counted by `Counter` (`_count_tokens`); the
+    scores are then one float64 array over every (cluster, term) entry.
+    Each term's log is math.log's, taken once per term, and the divisions
+    and product are the IEEE operations a per-term loop of Python floats
+    makes, so the scores are bit-identical to such a loop's.
     """
     if k < 1:
         raise ParameterError("k must be >= 1")
+    # fromiter, unlike np.array, does not look into each text for a nesting
+    docs = np.fromiter(documents, dtype=object, count=len(documents))
+    cids = sorted(assignment)
+    counters = []
+    unassigned = np.ones(len(docs), dtype=bool)
+    for cid in cids:
+        counters.append(_count_tokens(docs[assignment[cid]].tolist()))
+        unassigned[assignment[cid]] = False
     # each document is in at most one cluster, so the corpus counts are the
     # cluster counts plus the unassigned documents' counts
-    docs = np.array(documents, dtype=object)
-    cluster_counts: dict[int, Counter] = {}
-    unassigned = np.ones(len(docs), dtype=bool)
-    for cid in sorted(assignment):
-        cluster_counts[cid] = _count_tokens(docs[assignment[cid]].tolist())
-        unassigned[assignment[cid]] = False
-    corpus = _count_tokens(docs[unassigned].tolist())
-    for counts in cluster_counts.values():
-        corpus.update(counts)
+    rest = _count_tokens(docs[unassigned].tolist())
 
-    n_clusters = len(cluster_counts)
-    total_cluster_tokens = sum(sum(c.values()) for c in cluster_counts.values())
-    mean_tokens = total_cluster_tokens / n_clusters if n_clusters else 0.0
+    # one (row, term, count) entry per distinct term of each cluster, with
+    # terms numbered by their rank in the sorted vocabulary
+    words = list(chain.from_iterable(counters))
+    vocab = sorted(set(words))
+    rank = dict(zip(vocab, range(len(vocab))))
+    term = np.fromiter(map(rank.__getitem__, words), np.int64, len(words))
+    count = np.fromiter(chain.from_iterable(c.values() for c in counters),
+                        np.float64, len(words))
+    row = np.repeat(np.arange(len(cids)), list(map(len, counters)))
+    # sums of ints below 2**53, exact in float64
+    total = np.bincount(row, count, len(cids))
+    corpus = np.bincount(term, count, len(vocab)) \
+        + np.fromiter(map(rest.get, vocab, repeat(0)), np.float64, len(vocab))
+    mean_tokens = int(total.sum()) / len(cids) if cids else 0.0
+    log = np.array([math.log(1.0 + mean_tokens / n) for n in corpus.tolist()])
+    score = count / total[row] * log[term]
 
-    results = []
-    for cid, counts in cluster_counts.items():
-        total = sum(counts.values())
-        if total == 0 or mean_tokens == 0:
-            results.append(LabelResult(cid, []))
-            continue
-        # (-score, term) sorts by descending score, then term: the terms are
-        # distinct, so no two entries tie
-        scored = []
-        for term, cnt in counts.items():
-            tf = cnt / total
-            score = tf * math.log(1.0 + mean_tokens / corpus[term])
-            if score > 0:
-                scored.append((-score, term))
-        scored.sort()
-        results.append(LabelResult(cid, [(term, -neg) for neg, term in scored[:k]]))
-    return results
+    # by cluster, then descending score, then term
+    top = np.flatnonzero(score > 0)
+    top = top[np.lexsort((term[top], -score[top], row[top]))]
+    top_row = row[top]
+    top = top[np.arange(len(top)) - np.searchsorted(top_row, top_row) < k]
+    pairs = list(zip(map(vocab.__getitem__, term[top].tolist()), score[top].tolist()))
+    cut = np.searchsorted(row[top], np.arange(len(cids) + 1)).tolist()
+    return [LabelResult(cid, pairs[a:b]) for cid, a, b in zip(cids, cut, cut[1:])]
 
 
 def emit_sql_predicate(shape: ClusterShape, x_column: str, y_column: str) -> str:

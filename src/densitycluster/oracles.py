@@ -2,20 +2,23 @@
 
 These pin the semantics of the fast paths: per-pixel path following instead of
 vectorized set union, a direct dense 2D convolution instead of separable
-passes, flood fill for connectivity, and a scanline rasterizer for traced
-rings. They share the tie-break and kernel constants with the fast paths
-(NEIGHBOR_OFFSETS, gaussian_kernel) so that any divergence in definitions
-shows up as a test failure. Do not use them for real workloads.
+passes, flood fill for connectivity, a scanline rasterizer for traced
+rings, and c-TF-IDF scored one term at a time. They share the tie-break and
+kernel constants with the fast paths (NEIGHBOR_OFFSETS, gaussian_kernel) and
+the tokenizer with the labels, so that any divergence in definitions shows
+up as a test failure. Do not use them for real workloads.
 """
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import Counter, deque
 
 import numpy as np
 
 from .clustering import NEIGHBOR_OFFSETS, ClusterMap
 from .density import DensityMap, gaussian_kernel
 from .errors import ClusterNotFoundError, ParameterError
+from .labeling import LabelResult, tokenize
 
 _ORACLE_MAX_SIDE = 128
 
@@ -158,3 +161,30 @@ def rasterize_rings(outer, holes) -> set[tuple[int, int]]:
             for x in range(int(crossings[i]), int(crossings[i + 1])):
                 pixels.add((x, y))
     return pixels
+
+
+def ctfidf_oracle(assignment, documents, k: int) -> list[LabelResult]:
+    """c-TF-IDF labels as ctfidf_labels' docstring defines them, one text,
+    one cluster and one term at a time, in cluster id order."""
+    if k < 1:
+        raise ParameterError("k must be >= 1")
+    counts = {cid: Counter() for cid in sorted(assignment)}
+    corpus: Counter = Counter()
+    for cid, idx in assignment.items():
+        for i in idx:
+            counts[cid].update(tokenize(documents[i] or ""))
+    for text in documents:
+        corpus.update(tokenize(text or ""))
+    mean_tokens = (sum(sum(c.values()) for c in counts.values()) / len(counts)
+                   if counts else 0.0)
+    results = []
+    for cid, cluster in counts.items():
+        total = sum(cluster.values())
+        scored = []
+        for term, n in cluster.items():
+            score = n / total * math.log(1.0 + mean_tokens / corpus[term])
+            if score > 0:
+                scored.append((-score, term))
+        scored.sort()
+        results.append(LabelResult(cid, [(term, -neg) for neg, term in scored[:k]]))
+    return results

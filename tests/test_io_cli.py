@@ -28,6 +28,7 @@ from densitycluster.errors import DataError, NoDataError, ParameterError
 from densitycluster.io import (collector_paused, load_points,
                                read_cluster_document, read_density_dump,
                                write_density_dump)
+from densitycluster.labeling import assign_documents, ctfidf_labels
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURE_CSV = DATA / "two_gaussians.csv"
@@ -1166,6 +1167,44 @@ def test_many_cluster_documents_write_byte_identically(tmp_path, capsys,
     assert text == json.dumps(parsed, separators=(",", ":")) + "\n"
     dio.write_json(again, read_cluster_document(first))
     assert again.read_bytes() == first.read_bytes()
+
+
+def test_many_cluster_labels_write_json_bytes(tmp_path, capsys, uniform_inputs):
+    # past a thousand clusters, some of them holding no token, the labels
+    # file is json's text of its rows, and the merged document, read back
+    # with one label edited by hand, writes json's text of itself
+    points, doc_path, _ = uniform_inputs
+    doc = read_cluster_document(doc_path)
+    batch = load_points(points, "csv", text_col="text")
+    assignment = assign_documents(batch, [doc.rect_shape(c) for c in doc.clusters],
+                                  doc.viewport)
+    # every document of every seventh cluster says nothing but stopwords
+    texts = list(batch.texts)
+    for cid in sorted(assignment)[::7]:
+        for i in assignment[cid].tolist():
+            texts[i] = "the and"
+    edited = tmp_path / "points.csv"
+    edited.write_text("x,y,text\n" + "".join(
+        f"{x!r},{y!r},{t}\n" for x, y, t in zip(batch.xs.tolist(), batch.ys.tolist(), texts)))
+    labels, merged = tmp_path / "labels.json", tmp_path / "merged.json"
+    argv = ["label", "--input", str(edited), "--text-col", "text",
+            "--cluster-json", str(doc_path)]
+    assert main([*argv, "--output", str(labels)]) == 0
+    rows = [{"id": lr.cluster_id, "label": [[t, s] for t, s in lr.top_terms]}
+            for lr in ctfidf_labels(assignment, texts, 5)]
+    assert len(rows) > 1000 and sum(not row["label"] for row in rows) > 100
+    assert labels.read_text() == json.dumps(rows, separators=(",", ":")) + "\n"
+
+    assert main([*argv, "--merge", "--output", str(merged)]) == 0
+    text = merged.read_text()
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+    parsed = json.loads(text)
+    parsed["clusters"][3]["label"] = [["caf\u00e9", 2], [["nested"], 0.5], "x", 1.25]
+    by_hand, again = tmp_path / "by_hand.json", tmp_path / "again.json"
+    by_hand.write_text(json.dumps(parsed))
+    dio.write_json(again, read_cluster_document(by_hand))
+    assert again.read_text() == json.dumps(parsed, separators=(",", ":")) + "\n"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cluster_document_without_clusters(tmp_path, capsys):

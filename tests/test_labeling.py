@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from densitycluster import density
 from densitycluster.clustering import ClusterParams, cluster_density_map
@@ -19,6 +19,7 @@ from densitycluster.io import format_number
 from densitycluster.labeling import (SQL_KEYWORDS, STOPWORDS, _count_tokens,
                                      assign_documents, ctfidf_labels,
                                      emit_sql_predicate, tokenize)
+from densitycluster.oracles import ctfidf_oracle
 
 from conftest import noisy_map, three_blob
 
@@ -344,6 +345,43 @@ def test_ctfidf_deterministic_tie_order():
     assert [t for t, _ in labels[0].top_terms] == ["alpha", "zeta"]  # tie -> lexicographic
     again = ctfidf_labels(assignment, docs, k=2)
     assert labels[0].top_terms == again[0].top_terms
+
+
+# few words, so that clusters share terms and scores tie; None, "", a short
+# token, stopword-only texts and a non-ASCII separator among them
+_LABEL_TEXTS = st.sampled_from(
+    [None, "", "a", "the and", "alpha", "alpha beta", "Beta-gamma gamma",
+     "delta alpha alpha", "zeta", "gamma\u00e9delta the", "beta beta zeta"])
+
+
+@st.composite
+def _labelled_documents(draw):
+    """(assignment, documents) as assign_documents gives them: each
+    document in at most one cluster, indices ascending, and clusters that
+    hold no document."""
+    documents = draw(st.lists(_LABEL_TEXTS, max_size=30))
+    cids = draw(st.lists(st.integers(-5, 40), unique=True, max_size=6))
+    slots = draw(st.lists(st.integers(-1, len(cids) - 1),
+                          min_size=len(documents), max_size=len(documents)))
+    slots = np.array(slots, dtype=np.int64)
+    return {cid: np.flatnonzero(slots == i) for i, cid in enumerate(cids)}, documents
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_labelled_documents(), k=st.sampled_from([1, 3, 10]))
+# log(1 + 1/20), where numpy's array log is one ulp off math.log's on some
+# hosts: the scores take math.log's
+@example(case=({0: np.array([0])}, ["alpha", "alpha " * 19]), k=1)
+def test_ctfidf_matches_per_term_oracle(case, k):
+    # the array scoring gives the per-term loop's terms, order and float bits
+    assignment, documents = case
+
+    def exact(labels):
+        return [(lr.cluster_id, [(t, s.hex()) for t, s in lr.top_terms])
+                for lr in labels]
+
+    assert exact(ctfidf_labels(assignment, documents, k)) \
+        == exact(ctfidf_oracle(assignment, documents, k))
 
 
 # ----------------------------------------------------------------- SQL

@@ -32,6 +32,12 @@ _NUMBERS = _FLOATS | st.sampled_from([0, 3, -7]) | st.integers(-10**6, 10**6)
 _TEXT = st.sampled_from(["", "ab", 'q"\\', "é"] * 5 + ["\x00"])
 
 
+# labels of another form than `label` writes, as a hand-edited document may
+# hold them
+_ODD_LABELS = ["x", {"t": 0.5}, [["t"]], [["t", 0.5, 1]], [[0.5, "t"]],
+               [["t", True]], [["t", None]], [[["t"], 0.5]], ["t", 0.5]]
+
+
 def _rings(numbers):
     return st.lists(st.lists(numbers, min_size=2, max_size=2)
                     | st.tuples(numbers, numbers), max_size=6)
@@ -58,7 +64,8 @@ def _documents(draw):
         draw(st.lists(_rings(numbers), max_size=2)),
         draw(st.lists(st.lists(numbers, min_size=4, max_size=4), max_size=4)),
         draw(st.integers(0, 20)),
-        draw(st.none() | st.lists(st.tuples(_TEXT, _NUMBERS).map(list), max_size=3)))
+        draw(st.none() | st.lists(st.tuples(_TEXT, numbers).map(list), max_size=3)
+             | st.sampled_from(_ODD_LABELS)))
         for cid in ids]
     params = draw(st.dictionaries(_TEXT, _NUMBERS | _TEXT, max_size=3))
     return ClusterDocument(draw(st.sampled_from(["data", "pixel"])), viewport,
