@@ -45,10 +45,13 @@ trees run the same code, and their difference is the harness's own spread.
 The last line printed is JSON: per-layer medians and quartiles over pairs
 in ms for each tree, how many pairs the change (`--change`, default this
 checkout) was faster in, the
-cluster count and the document and SVG sha256 of each tree, and the number
+cluster count and the document and SVG sha256 of each tree, the number
 of CPUs the runs could use (smoothing and initial clustering split their
-work over them). `output_ms` sums the layers that turn the cluster map into
-the document: shapes, `to_data_space`, `cluster_document` and `write_json`.
+work over them), and `median_peak_rss_mb`: the median over each tree's runs
+of the child interpreter's peak resident set (`ru_maxrss`), which covers
+every command the run timed and their warm-ups. `output_ms` sums the layers
+that turn the cluster map into the document: shapes, `to_data_space`,
+`cluster_document` and `write_json`.
 """
 from __future__ import annotations
 
@@ -60,6 +63,7 @@ import json
 import os
 import random
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -112,8 +116,9 @@ def write_points(seed: int, rows: int, text: bool, path: Path) -> None:
 def child(src: str, csv: str, out: str, text: bool, seed: int) -> None:
     """One tree's timed run; prints {layer: ms}, the collections of each
     timed command, the cluster count, the sha256 of the document and of its
-    SVG, union's counts, and with `text` the sha256 of the labels and of the
-    merged document."""
+    SVG, union's counts, with `text` the sha256 of the labels and of the
+    merged document, and the interpreter's peak resident set in MB (Linux
+    reports `ru_maxrss` in KiB)."""
     sys.path.insert(0, src)
     import densitycluster.cli as cli
     layers = {m: list(fs) for m, fs in LAYERS.items()}
@@ -239,6 +244,7 @@ def child(src: str, csv: str, out: str, text: bool, seed: int) -> None:
             with open(path, "rb") as fh:
                 result[key] = hashlib.sha256(fh.read()).hexdigest()
     ms.update(commands)
+    result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps(result))
 
 
@@ -333,6 +339,8 @@ def main() -> int:
                         for k in layers},
         "median_collections": {s: {k: statistics.median(r["collections"][k] for r in runs[s])
                                    for k in runs[s][0]["collections"]} for s in runs},
+        "median_peak_rss_mb": {s: round(statistics.median(r["peak_rss_mb"] for r in runs[s]), 1)
+                               for s in runs},
     }
     print(json.dumps(result))
     return 0

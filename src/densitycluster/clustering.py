@@ -458,19 +458,23 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     h, w = d.shape
     n = h * w
     offsets = NEIGHBOR_OFFSETS[connectivity]
-    deltas = np.array([dy * w + dx for dx, dy in offsets], dtype=np.int64)
-    # beyond the border the padded density is -inf, which never wins
-    pad = np.pad(d, 1, constant_values=-np.inf)
+    # links in the narrowest int that indexes every pixel
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    deltas = np.array([dy * w + dx for dx, dy in offsets], dtype=index)
     fg = np.empty(n, dtype=bool)
     root = np.empty(n, dtype=bool)
-    par = np.empty(n, dtype=np.int64)
+    par = np.empty(n, dtype=index)
 
     def link(rows: slice) -> np.ndarray:
         """Point each pixel of the rows at its densest neighbor, first (=
         smallest linear index) on ties, if that is at least as dense; return
         the pixels whose densest neighbor is exactly as dense."""
-        nbs = [pad[1 + dy + rows.start:1 + dy + rows.stop, 1 + dx:1 + dx + w]
-               for dx, dy in offsets]
+        # the rows and one more on each side, bordered by -inf, which never wins
+        m = rows.stop - rows.start
+        lo, hi = max(rows.start - 1, 0), min(rows.stop + 1, h)
+        slab = np.full((m + 2, w + 2), -np.inf)
+        slab[1 + lo - rows.start:1 + hi - rows.start, 1:-1] = d[lo:hi]
+        nbs = [slab[1 + dy:1 + dy + m, 1 + dx:1 + dx + w] for dx, dy in offsets]
         best_d = nbs[0].copy()
         best_k = np.zeros(best_d.shape, dtype=np.int8)
         better = np.empty(best_d.shape, dtype=bool)
@@ -489,7 +493,7 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
         root[block] = (pos & ~up).ravel()
         step = np.take(deltas, best_k.ravel())
         step *= up.ravel()
-        np.add(step, np.arange(block.start, block.stop, dtype=np.int64), out=par[block])
+        np.add(step, np.arange(block.start, block.stop, dtype=index), out=par[block])
         return np.flatnonzero(pos & (best_d == own)) + block.start
 
     ties = np.concatenate(run_in_blocks(h, link, w))
@@ -522,14 +526,16 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     for block, found in marked:
         rank[block] += below
         below += found.size
-    ids = np.empty(n, dtype=np.int32)
 
     def label(rows: slice) -> None:
+        """Write the ids over the ranks: a root's rank is its id, so only
+        the other pixels are written, and other blocks read only roots."""
         block = slice(rows.start * w, rows.stop * w)
-        ids[block] = np.where(fg[block], rank[par[block]], -1)
+        np.copyto(rank[block], np.where(fg[block], rank[par[block]], -1),
+                  where=~root[block])
 
     run_in_blocks(h, label, w)
-    return ClusterMap(ids.reshape(h, w),
+    return ClusterMap(rank.reshape(h, w),
                       peak_hint=np.concatenate([found for _, found in marked]))
 
 

@@ -270,6 +270,7 @@ def smooth(counts: DensityMap, bandwidth_px: float) -> DensityMap:
 
     Separable x-then-y passes with zero padding at the borders; bandwidth 0
     returns an unchanged copy. Mass is conserved up to border leakage.
+    The input is not modified; both passes write one grid beside it.
     """
     if not (0 <= bandwidth_px < math.inf):
         raise ParameterError("bandwidth_px must be finite and >= 0")
@@ -281,13 +282,20 @@ def smooth(counts: DensityMap, bandwidth_px: float) -> DensityMap:
     k = gaussian_kernel(bandwidth_px)
     values = counts.values
     h, w = values.shape
-    rows, out = np.empty_like(values), np.empty_like(values)
+    out = np.empty_like(values)
+
+    def y_pass(block: slice) -> None:
+        # a block reads only its own columns, so it may write them back; an
+        # empty temporary, as convolve1d's own output would be zero-filled
+        cols = np.empty((h, block.stop - block.start))
+        convolve1d(out[:, block], k, axis=0, mode="constant", cval=0.0, output=cols)
+        out[:, block] = cols
+
     # the x pass in blocks of rows, the y pass in blocks of columns; each
     # element is computed as a whole-grid pass would compute it
     run_in_blocks(h, lambda block: convolve1d(
-        values[block], k, axis=1, mode="constant", cval=0.0, output=rows[block]), w)
-    run_in_blocks(w, lambda block: convolve1d(
-        rows[:, block], k, axis=0, mode="constant", cval=0.0, output=out[:, block]), h)
+        values[block], k, axis=1, mode="constant", cval=0.0, output=out[block]), w)
+    run_in_blocks(w, y_pass, h)
     return DensityMap(counts.viewport, out)
 
 

@@ -246,7 +246,8 @@ def _iter_jsonl(path, x_col, y_col, weight_col, text_col):
 def write_density_dump(path, dm: DensityMap) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<II", dm.width, dm.height))
-        fh.write(dm.values.astype("<f4").tobytes())
+        # written through the buffer protocol: no bytes copy of the grid
+        fh.write(dm.values.astype("<f4", order="C"))
 
 
 def read_density_dump(path) -> tuple[int, int, np.ndarray]:

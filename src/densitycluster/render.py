@@ -42,7 +42,8 @@ def _underlay_element(density: np.ndarray, vp: Viewport) -> str:
     # brightest pixel maps to full ink; SVG rows run top-down so flip y
     peak = float(density.max())
     if peak > 0:
-        gray = 255 - np.rint(density * (255.0 / peak)).astype(np.uint8)
+        scaled = density * (255.0 / peak)
+        gray = 255 - np.rint(scaled, out=scaled).astype(np.uint8)
     else:
         gray = np.full(density.shape, 255, dtype=np.uint8)
     png = _png_gray(gray[::-1])
@@ -89,17 +90,16 @@ def render_svg(doc: ClusterDocument, underlay: np.ndarray | None = None) -> byte
     texts = _number_texts(xy.ravel(), trim=True)
     vertices = list(map(",".join, zip(texts[0::2], texts[1::2])))
 
-    stroke_w = 0.002 * max(span_x, span_y)
+    stroke_w = _fmt(0.002 * max(span_x, span_y))
+    # each palette colour's attributes, written once
+    paint = [f'" fill="{color}" fill-opacity="0.55" fill-rule="evenodd" '
+             f'stroke="{color}" stroke-width="{stroke_w}"/>' for color in PALETTE10]
     v = 0
     for cluster in clusters:
         d_parts = []
         for ring in (cluster.outer, *cluster.holes):
             d_parts.append("M" + "L".join(vertices[v:v + len(ring)]) + "Z")
             v += len(ring)
-        color = PALETTE10[cluster.color % len(PALETTE10)]
-        lines.append(
-            f'<path d="{"".join(d_parts)}" fill="{color}" fill-opacity="0.55" '
-            f'fill-rule="evenodd" stroke="{color}" stroke-width="{_fmt(stroke_w)}"/>'
-        )
+        lines.append('<path d="' + "".join(d_parts) + paint[cluster.color % len(PALETTE10)])
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")

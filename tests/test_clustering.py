@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import math
 import threading
+import tracemalloc
 from collections import deque
 from dataclasses import fields, is_dataclass, replace
 
@@ -10,16 +11,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from densitycluster.clustering import (NEIGHBOR_OFFSETS, ClusterMap,
-                                       ClusterParams, _components, _row_runs,
+                                       ClusterParams, _components, _roots, _row_runs,
                                        build_neighborhood_graph,
                                        cluster_density_map, initial_clusters,
                                        truncate_clusters, union_clusters)
 from densitycluster import density
-from densitycluster.density import DensityMap, Viewport, run_in_bands, smooth
+from densitycluster.density import (DensityMap, Viewport, bin_points,
+                                    run_in_bands, smooth)
 from densitycluster.errors import DataError, ParameterError
 from densitycluster.geometry import color_clusters
 from densitycluster.io import cluster_document
 from densitycluster.oracles import flood_fill_components, steepest_ascent_oracle
+from densitycluster.synth import random_mixture, sample_mixture
 
 from conftest import (BAND_SHAPES, assert_columns_match_nodes, brute_boundary_stats,
                       dumbbell, gaussian_map, naive_union, noisy_map, plateau_map,
@@ -326,6 +329,67 @@ def test_components_match_bfs(data):
     a = np.array([p[0] for p in pairs], dtype=np.int64)
     b = np.array([p[1] for p in pairs], dtype=np.int64)
     assert _components(n, a, b).tolist() == _bfs_components(n, pairs)
+
+
+def _loop_roots(parent):
+    roots = []
+    for node in parent:
+        while parent[node] != node:
+            node = parent[node]
+        roots.append(node)
+    return roots
+
+
+def _forests(n, rng):
+    """Forests on n nodes whose roots are their own parent."""
+    nodes = np.arange(n)
+    order = rng.permutation(n)
+    shuffled = nodes.copy()  # one chain through the nodes in shuffled order
+    shuffled[order[1:]] = order[:-1]
+    yield "roots only", nodes
+    yield "chain down", np.maximum(nodes - 1, 0)
+    yield "chain up", np.minimum(nodes + 1, n - 1)
+    yield "shuffled chain", shuffled
+    yield "star", np.full(n, n // 2)
+    yield "random", rng.integers(0, nodes + 1)  # parent <= node
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_roots_match_loop_oracle(band_count, dtype):
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 63, 64, 65, 1000):
+        for name, parent in _forests(n, rng):
+            expect = _loop_roots(parent.tolist())
+            for count in (1, 2, 3, 7):
+                band_count(count)
+                got = _roots(parent.astype(dtype))
+                assert got.dtype == dtype
+                assert got.tolist() == expect, (n, name, count)
+
+
+def test_one_band_grid_memory_per_pixel(monkeypatch):
+    # smoothing keeps one working grid beside its input, and initial
+    # clustering one bool pair, 32-bit links and their double buffer, and
+    # the ids written over the ranks; block temporaries add a little
+    monkeypatch.setattr(density, "usable_cpus", lambda: 1)
+    size = 1000
+    rng = np.random.default_rng(0)
+    batch = sample_mixture(random_mixture(size, 64, rng), 100_000, rng)
+    vp = Viewport(0.0, float(size), 0.0, float(size), size, size)
+    counts = bin_points(batch, vp)
+    dm = smooth(counts, 0.01 * size)  # also imports scipy outside the trace
+
+    def bytes_per_pixel(fn) -> float:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return (tracemalloc.get_traced_memory()[1] - base) / (size * size)
+        finally:
+            tracemalloc.stop()
+
+    assert bytes_per_pixel(lambda: smooth(counts, 0.01 * size)) <= 11
+    assert bytes_per_pixel(lambda: initial_clusters(dm)) <= 17
 
 
 # ---------------------------------------------------------------- graph

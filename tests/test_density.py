@@ -220,6 +220,18 @@ def test_smooth_band_count_invariant(band_count, bandwidth):
             assert smooth(dm, bandwidth).values.tobytes() == ref, (shape, count)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_smooth_leaves_input_unchanged(band_count, count):
+    band_count(count)
+    for seed, shape in enumerate(BAND_SHAPES):
+        dm = plateau_map(seed, *shape)
+        before = dm.values.tobytes()
+        for bandwidth in (0.0, 0.5, 2.5, 10.0):
+            out = smooth(dm, bandwidth)
+            assert not np.shares_memory(out.values, dm.values)
+            assert dm.values.tobytes() == before, (shape, bandwidth)
+
+
 def test_check_density_values_reports_non_finite_first():
     # a negative value at the start and a NaN at the end: the NaN is reported
     for seed, shape in enumerate(BAND_SHAPES):
