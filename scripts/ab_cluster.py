@@ -290,6 +290,10 @@ def main() -> int:
         return 0
     if args.base is None and not args.aa:
         ap.error("one of --base and --aa is required")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    if args.rows < 1:
+        ap.error("--rows must be at least 1")
 
     work = ROOT / ".ab_work"
     work.mkdir(exist_ok=True)

@@ -21,7 +21,8 @@ from .geometry import color_clusters, count_color_conflicts
 from .io import (cluster_document, collector_paused, labels_json, load_points,
                  read_cluster_document, read_density_dump, write_density_dump,
                  write_json)
-from .labeling import assign_documents, ctfidf_labels, emit_sql_predicate
+from .labeling import (assign_documents, check_sql_columns, ctfidf_labels,
+                        emit_sql_predicate)
 from .render import render_svg
 from .synth import bench_run
 
@@ -257,6 +258,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_sql(args) -> int:
+    check_sql_columns(args.x_col, args.y_col)
     doc = read_cluster_document(args.cluster_json)
     for c in doc.clusters:
         if c.id == args.cluster_id:

@@ -642,10 +642,13 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     density, and re-measure distances against the surviving peak using each
     edge's retained nearest boundary pixels.
 
-    The output columns start as copies of the input's, and a merge rewrites
-    only the rows it reaches: each other row of the absorbed cluster either
-    becomes the survivor's row with that neighbour, in place, or folds into
-    the row the survivor already has with it.
+    The output columns start as copies of the input's, and one table maps
+    each live pair (a, b) to its row. A merge drops the merged pair and
+    rewrites only the rows it reaches: each other row of the absorbed
+    cluster either becomes the survivor's row with that neighbour, in place,
+    or folds into the row the survivor already has with it, adding its
+    count and keeping the larger max density there and then. The output
+    rows are the table's rows in key order.
     """
     w = graph.width
     e = graph.edges
@@ -656,45 +659,40 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
     pixel = e.pixel.astype(np.int64, order="C")
     score = np.minimum(dist[:, 0], dist[:, 1])
     ready = np.flatnonzero(score <= limit)
-    # each id's parent in the merge forest, whose roots are the survivors
-    lut = np.arange(n_ids, dtype=np.int32)
-    alive = [True] * m
-    folds: list[int] = []  # each folded row, then the row it went into
+    # each live pair's row by the key a * n_ids + b
+    row_of = dict(zip((e.a.astype(np.int64) * n_ids + e.b).tolist(), range(m)))
+    # each id's parent in the merge forest: an id has merged away iff it is
+    # not its own parent, and the roots are the survivors
+    parent = list(range(n_ids))
     if ready.size:
         peaks, densities = memoryview(graph.peak), memoryview(graph.peak_density)
         # row r's side s at 2r + s, written straight into the columns
         d, p = memoryview(dist.reshape(-1)), memoryview(pixel.reshape(-1))
-        # every id's neighbours, and each pair's row by the key a * n_ids + b
+        cnt, mx = memoryview(count), memoryview(max_density)
+        # every id's neighbours
         nbr, cut = (col.tolist() for col in e.neighbors(n_ids))
         near = [nbr[s:t] for s, t in zip(cut, cut[1:])]
-        row_of = dict(zip((e.a * n_ids + e.b).tolist(), range(m)))
 
-        # entries (score, a, b, row) of the rows that can merge: those that
-        # can now, sorted to pop from the end, and a heap of those that get
+        # entries (score, a, b) of the pairs that can merge: those that can
+        # now, sorted to pop from the end, and a heap of those that get
         # there later. A pair's score only falls, and each fall to the limit
         # or below adds an entry, so a pair's lowest entry comes first: an
         # entry is stale once one of its clusters has merged away.
-        ready = ready[np.lexsort((ready, e.b[ready], e.a[ready], score[ready]))[::-1]]
-        queue = list(zip(score[ready].tolist(), e.a[ready].tolist(),
-                         e.b[ready].tolist(), ready.tolist()))
-        heap: list[tuple[float, int, int, int]] = []
-        dead = [False] * n_ids
-        gone_ids: list[int] = []
-        surv_ids: list[int] = []
+        ready = ready[np.lexsort((e.b[ready], e.a[ready], score[ready]))[::-1]]
+        queue = list(zip(score[ready].tolist(), e.a[ready].tolist(), e.b[ready].tolist()))
+        heap: list[tuple[float, int, int]] = []
         while queue or heap:
             if heap and (not queue or heap[0] < queue[-1]):
-                _, a, b, r = heapq.heappop(heap)
+                _, a, b = heapq.heappop(heap)
             else:
-                _, a, b, r = queue.pop()
-            if dead[a] or dead[b]:
+                _, a, b = queue.pop()
+            if parent[a] != a or parent[b] != b:
                 continue
-            alive[r] = False
+            del row_of[a * n_ids + b]
             # higher peak wins, tie -> smaller id
             da, db = densities[a], densities[b]
             surv, gone = (a, b) if da > db or (da == db and a < b) else (b, a)
-            dead[gone] = True
-            gone_ids.append(gone)
-            surv_ids.append(surv)
+            parent[gone] = surv
             near_surv = near[surv]
             near_surv.remove(gone)
             spy, spx = divmod(peaks[surv], w)
@@ -706,11 +704,11 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
                 # gone's boundary pixel, re-measured from the surviving
                 # peak, and the neighbour's nearest (distance, pixel)
                 if c < gone:
-                    old = row_of[c * n_ids + gone]
+                    old = row_of.pop(c * n_ids + gone)
                     k = 2 * old
                     g_pix, c_dist, c_pix = p[k + 1], d[k], p[k]
                 else:
-                    old = row_of[gone * n_ids + c]
+                    old = row_of.pop(gone * n_ids + c)
                     k = 2 * old
                     g_pix, c_dist, c_pix = p[k], d[k + 1], p[k + 1]
                 gy, gx = divmod(g_pix, w)
@@ -729,10 +727,11 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
                     near_surv.append(c)
                     d[k + s], p[k + s], d[k + t], p[k + t] = g_dist, g_pix, c_dist, c_pix
                     best = min(g_dist, c_dist)
-                else:  # each side keeps its nearest (distance, pixel)
+                else:  # gone's row folds into it; each side keeps its nearest
                     near[c].remove(gone)
-                    alive[old] = False
-                    folds += (old, new)
+                    cnt[new] += cnt[old]
+                    if mx[old] > mx[new]:
+                        mx[new] = mx[old]
                     k = 2 * new
                     i, j = k + s, k + t
                     i_dist, j_dist = d[i], d[j]
@@ -744,30 +743,20 @@ def union_clusters(graph: ClusterGraph, cmap: ClusterMap,
                     fell = g_dist < i_dist or c_dist < j_dist
                     best = min(d[k], d[k + 1]) if fell else math.inf
                 if best <= limit:
-                    heapq.heappush(heap, (best, *divmod(key, n_ids), new))
-        lut[gone_ids] = surv_ids
-    lut = _roots(lut)
+                    heapq.heappush(heap, (best, *divmod(key, n_ids)))
+    lut = _roots(np.array(parent, dtype=np.int32))
 
     # a survivor takes the area of every node merged into it
     area = np.bincount(lut, weights=graph.area, minlength=n_ids).astype(np.int64)
     out = lut == np.arange(n_ids)
     peak = np.where(out, graph.peak, -1)
     peak_density = np.where(out, graph.peak_density, 0.0)
-    # a row keeps its place when it moves to a survivor, so its clusters
-    # are the roots of the two it started with
-    a_col, b_col = lut[e.a].astype(np.int64), lut[e.b].astype(np.int64)
-    a_col, b_col = np.minimum(a_col, b_col), np.maximum(a_col, b_col)
-    if folds:
-        # a folded row's count and max density reach the row it ends in
-        src, dst = np.array(folds, dtype=np.int64).reshape(-1, 2).T
-        into = np.arange(m)
-        into[src] = dst
-        into = _roots(into)[src]
-        np.add.at(count, into, count[src])
-        np.maximum.at(max_density, into, max_density[src])
-    live = np.flatnonzero(np.fromiter(alive, dtype=bool, count=m))
-    rows = live[np.argsort(a_col[live] * n_ids + b_col[live])]
-    out_edges = ClusterEdges(a_col[rows], b_col[rows], count[rows], max_density[rows],
+    # the live pairs in key order, and their rows
+    key, rows = (np.fromiter(col, dtype=np.int64, count=len(row_of))
+                 for col in (row_of.keys(), row_of.values()))
+    order = np.argsort(key)
+    key, rows = key[order], rows[order]
+    out_edges = ClusterEdges(key // n_ids, key % n_ids, count[rows], max_density[rows],
                              dist[rows], pixel[rows])
     ids = cmap.ids  # without merges every id maps to itself
     if ready.size:

@@ -60,7 +60,8 @@ def load_points(path, fmt: str, x_col: str = "x", y_col: str = "y",
 
     A CSV without quote characters whose every data row is a valid point is
     read column-wise by numpy's C parser; any other file is read row by row,
-    with the same result. A file that is not UTF-8 text is a DataError.
+    with the same result. A file that is not UTF-8 text is a DataError; a
+    leading UTF-8 byte-order mark is ignored.
 
     The CSV bytes are read once for the header and the quote check. numpy
     then reads the file again by its absolute name, in large chunks; if the
@@ -130,8 +131,9 @@ def _csv_lines(data: bytes) -> TextIOWrapper:
     """The file's lines, decoded as when it is opened in text mode with
     newline="" (split at CR, LF and CRLF), so that csv.reader and np.loadtxt
     see the same lines. BytesIO shares `data` and the decoding streams; a
-    StringIO would hold four bytes per character once it is read."""
-    return TextIOWrapper(BytesIO(data), encoding="utf-8", newline="")
+    StringIO would hold four bytes per character once it is read. A leading
+    UTF-8 byte-order mark is dropped."""
+    return TextIOWrapper(BytesIO(data), encoding="utf-8-sig", newline="")
 
 
 def _reread(path, data: bytes, st: os.stat_result) -> tuple[str, tuple] | None:
@@ -223,7 +225,7 @@ def _iter_csv(data, xi, yi, wi, ti):
 
 
 def _iter_jsonl(path, x_col, y_col, weight_col, text_col):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for row_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

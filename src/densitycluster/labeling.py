@@ -206,19 +206,24 @@ def ctfidf_labels(assignment: dict[int, np.ndarray], documents,
     return [LabelResult(cid, pairs[a:b]) for cid, a, b in zip(cids, cut, cut[1:])]
 
 
-def emit_sql_predicate(shape: ClusterShape, x_column: str, y_column: str) -> str:
-    """WHERE-clause text selecting exactly the rows inside the rect cover.
-
-    One parenthesized conjunct per rectangle, OR-joined in stored order.
-    Column names are validated against [A-Za-z_][A-Za-z0-9_]* to keep the
-    output injection-free, and must not be one of SQL_KEYWORDS, in any case,
-    which SQLite would not read as the column.
-    """
-    for ident in (x_column, y_column):
+def check_sql_columns(*columns: str) -> None:
+    """Raise ParameterError unless every name matches [A-Za-z_][A-Za-z0-9_]*,
+    which keeps a predicate injection-free, and is not one of SQL_KEYWORDS,
+    in any case, which SQLite would not read as the column."""
+    for ident in columns:
         if not _IDENT_RE.match(ident):
             raise ParameterError(f"invalid column identifier: {ident!r}")
         if ident.lower() in SQL_KEYWORDS:
             raise ParameterError(f"column identifier is an SQL keyword: {ident!r}")
+
+
+def emit_sql_predicate(shape: ClusterShape, x_column: str, y_column: str) -> str:
+    """WHERE-clause text selecting exactly the rows inside the rect cover.
+
+    One parenthesized conjunct per rectangle, OR-joined in stored order.
+    The column names must pass check_sql_columns.
+    """
+    check_sql_columns(x_column, y_column)
     if not shape.rects:
         raise ParameterError(
             f"cluster {shape.cluster_id} has no rectangles to emit")

@@ -610,16 +610,18 @@ def test_union_matches_naive_reference(seed, size, quantize, bandwidth, conn,
         assert cm3.peak_hint is None
 
 
-def test_union_matches_naive_reference_through_cascades():
+@pytest.mark.parametrize("connectivity", [8, 4])
+def test_union_matches_naive_reference_through_cascades(connectivity):
     # a 96x96 uniform map at bandwidth 1: hundreds of merges, survivors that
     # merge away in turn, rows folded more than once and pairs that no input
     # row has
     dm = uniform_map(5, 96, 0.2, 1.0)
-    cm = initial_clusters(dm)
-    graph = build_neighborhood_graph(dm, cm)
+    cm = initial_clusters(dm, connectivity)
+    graph = build_neighborhood_graph(dm, cm, connectivity)
     pairs_in = set(_pairs(graph.edges))
     for md in (0.0, 1.5, 8.0):
-        g2, cm2 = union_clusters(graph, cm, ClusterParams(merge_distance_px=md))
+        params = ClusterParams(merge_distance_px=md, connectivity=connectivity)
+        g2, cm2 = union_clusters(graph, cm, params)
         nodes, rows, into = naive_union(graph, md)
         assert typed_nodes(g2.nodes) == typed_nodes(nodes)
         e = g2.edges
@@ -636,6 +638,31 @@ def test_union_matches_naive_reference_through_cascades():
         assert set(rows) - pairs_in
         assert any(surv in into for surv in into.values())
     assert len(into) > 300
+
+
+def test_union_takes_int32_edge_ends():
+    # every id moved up by `pad`, so that keys a * n_ids + b formed in int32
+    # would wrap; the output a and b columns are int64 whatever the input's
+    dm = uniform_map(5, 96, 0.2, 1.0)
+    cm = initial_clusters(dm)
+    graph = build_neighborhood_graph(dm, cm)
+    e = graph.edges
+    n_ids = 50_000
+    pad = n_ids - graph.peak.size
+    assert pad * n_ids >= 2**31
+    moved = ClusterMap(np.where(cm.ids >= 0, cm.ids + pad, -1).astype(cm.ids.dtype))
+    wide = replace(graph, peak=np.append(np.full(pad, -1), graph.peak),
+                   peak_density=np.append(np.zeros(pad), graph.peak_density),
+                   area=np.append(np.zeros(pad, dtype=np.int64), graph.area),
+                   edges=replace(e, a=e.a + pad, b=e.b + pad))
+    narrow = replace(wide, edges=replace(wide.edges, a=wide.edges.a.astype(np.int32),
+                                         b=wide.edges.b.astype(np.int32)))
+    for md in (0.0, 8.0):
+        params = ClusterParams(merge_distance_px=md)
+        want, got = (union_clusters(g, moved, params) for g in (wide, narrow))
+        assert len(want[0].nodes) < len(graph.nodes)
+        assert want[0].edges.a.dtype == np.int64
+        assert _same_arrays(_columns(*got), _columns(*want))
 
 
 def _columns(graph, cmap) -> list[np.ndarray]:

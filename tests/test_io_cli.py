@@ -86,6 +86,14 @@ def test_load_jsonl(tmp_path):
     assert batch.texts == ["alpha", None]
 
 
+def test_load_jsonl_with_byte_order_mark(tmp_path):
+    p = tmp_path / "pts.jsonl"
+    p.write_bytes(b'\xef\xbb\xbf{"x": 1, "y": 2, "t": "alpha"}\n{"x": 3, "y": 4}\n')
+    batch = load_points(p, "jsonl", text_col="t")
+    assert batch.xs.tolist() == [1.0, 3.0]
+    assert batch.texts == ["alpha", None]
+
+
 def test_load_jsonl_bad_lines(tmp_path):
     p = tmp_path / "pts.jsonl"
     for text, cols in (('{"x": 1, "y": 2}\nnot json\n{"y": 3}\n', {}),
@@ -258,6 +266,25 @@ def test_load_csv_by_name_or_lines(tmp_path, monkeypatch, name):
     assert got.texts == want.texts
     assert _label_bytes(tmp_path, path) == \
         (DATA / "two_gaussians_golden_labels.json").read_bytes()
+
+
+@pytest.mark.parametrize("quote", [False, True], ids=["column_wise", "row_by_row"])
+def test_load_csv_with_byte_order_mark(tmp_path, monkeypatch, quote):
+    # Excel's "CSV UTF-8" files begin with the byte-order mark EF BB BF
+    data = FIXTURE_CSV.read_bytes()
+    if quote:  # a quote character sends the file down the row-by-row path
+        data = data.replace(b",alpha\n", b',"alpha"\n')
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(data)
+    marked.write_bytes(b"\xef\xbb\xbf" + data)
+    sources = _loadtxt_sources(monkeypatch)
+    assert _load_outcome(marked, False, text_col="text") == \
+        _load_outcome(FIXTURE_CSV, False, text_col="text")
+    assert (str(marked) in sources) != quote
+    for path in (plain, marked):
+        assert main(["cluster", "--input", str(path),
+                     "--output", str(path.with_suffix(".json"))]) == 0
+    assert marked.with_suffix(".json").read_bytes() == plain.with_suffix(".json").read_bytes()
 
 
 def test_load_csv_url_like_relative_name_stays_local(tmp_path, monkeypatch):
@@ -518,8 +545,15 @@ def test_cli_bad_input_bytes_exit_without_traceback(tmp_path, capsys, argv, data
     (["sql", "--cluster-json", str(DATA / "two_gaussians_clusters.json"),
       "--cluster-id", "92", "--y-col", "null"],
      "column identifier is an SQL keyword: 'null'"),
+    # the column names are checked before the document is read
+    (["sql", "--cluster-json", str(DATA / "two_gaussians_clusters.json"),
+      "--cluster-id", "7", "--x-col", "select"],
+     "column identifier is an SQL keyword: 'select'"),
+    (["sql", "--cluster-json", "{out}", "--cluster-id", "7", "--x-col", "select"],
+     "column identifier is an SQL keyword: 'select'"),
 ], ids=["label_top_k_0", "cluster_no_output", "label_no_output", "bench_no_sizes",
-        "bench_bad_sizes", "bench_repeats_0", "sql_x_col_select", "sql_y_col_null"])
+        "bench_bad_sizes", "bench_repeats_0", "sql_x_col_select", "sql_y_col_null",
+        "sql_bad_col_unknown_cluster", "sql_bad_col_missing_document"])
 def test_cli_usage_errors_exit_1(tmp_path, capsys, argv, message):
     assert main([a.format(out=tmp_path / "out") for a in argv]) == 1
     err = capsys.readouterr().err
