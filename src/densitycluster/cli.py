@@ -87,8 +87,13 @@ _KINDS = {"str": str, "int": int, "float": float}
 
 
 def _run_config(args) -> RunConfig:
-    """RunConfig from flags and config values. As argparse reads the flags,
-    a float setting takes an int too, and an int setting takes no float."""
+    """RunConfig from flags and config values. Every config key must name a
+    setting. As argparse reads the flags, a float setting takes an int too,
+    and an int setting takes no float."""
+    names = {f.name for f in fields(RunConfig)}
+    for key in getattr(args, "_config", {}):
+        if key not in names:
+            raise ParameterError(f"unknown config key: {key!r}")
     values = {}
     for f in fields(RunConfig):
         v = _resolve(args, f.name)

@@ -461,7 +461,6 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     # links in the narrowest int that indexes every pixel
     index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     deltas = np.array([dy * w + dx for dx, dy in offsets], dtype=index)
-    fg = np.empty(n, dtype=bool)
     root = np.empty(n, dtype=bool)
     par = np.empty(n, dtype=index)
 
@@ -489,7 +488,6 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
         pos = own > 0
         up = pos & (best_d >= own)
         block = slice(rows.start * w, rows.stop * w)
-        fg[block] = pos.ravel()
         root[block] = (pos & ~up).ravel()
         step = np.take(deltas, best_k.ravel())
         step *= up.ravel()
@@ -512,31 +510,22 @@ def initial_clusters(density: DensityMap, connectivity: int = 8) -> ClusterMap:
     # log2 of the longest uphill chain rounds, plus one.
     par = _roots(par)
 
-    # the roots numbered in scan order: rank counts the roots up to each
-    # pixel, block by block, then across blocks
-    rank = np.empty(n, dtype=np.int32)
-
-    def mark(rows: slice) -> tuple[slice, np.ndarray]:
-        block = slice(rows.start * w, rows.stop * w)
-        np.cumsum(root[block], dtype=np.int32, out=rank[block])
-        return block, np.flatnonzero(root[block]) + block.start
-
-    marked = run_in_blocks(h, mark, w)
-    below = -1
-    for block, found in marked:
-        rank[block] += below
-        below += found.size
+    # the roots numbered in scan order; background pixels are their own
+    # parent and keep -1
+    peaks = np.flatnonzero(root)
+    rank = np.full(n, -1, dtype=np.int32)
+    rank[peaks] = np.arange(peaks.size, dtype=np.int32)
 
     def label(rows: slice) -> None:
-        """Write the ids over the ranks: a root's rank is its id, so only
-        the other pixels are written, and other blocks read only roots."""
+        """Write each pixel's id over its rank. Only roots and background
+        pixels are read, and each is written with its own rank, so blocks
+        may run in any order."""
         block = slice(rows.start * w, rows.stop * w)
-        np.copyto(rank[block], np.where(fg[block], rank[par[block]], -1),
-                  where=~root[block])
+        # every link is in range, so "clip" only skips the bounds check
+        np.take(rank, par[block], out=rank[block], mode="clip")
 
     run_in_blocks(h, label, w)
-    return ClusterMap(rank.reshape(h, w),
-                      peak_hint=np.concatenate([found for _, found in marked]))
+    return ClusterMap(rank.reshape(h, w), peak_hint=peaks)
 
 
 def _boundary_edges(d: np.ndarray, ids2: np.ndarray, peak_lin: np.ndarray,

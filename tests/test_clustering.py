@@ -262,6 +262,31 @@ def test_many_cluster_grid_starts_no_thread(monkeypatch, cpus):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("conn", [4, 8])
+@pytest.mark.parametrize("count", [1, 3])
+def test_initial_signed_zero_pixels_are_background(band_count, conn, count):
+    # pixels of 0.0 and -0.0 inside and between clusters link to themselves,
+    # so their ids stay -1 however the map is split into bands
+    band_count(count)
+    rng = np.random.default_rng(5)
+    vals = rng.random((21, 17)) + 0.5
+    vals[rng.random(vals.shape) < 0.15] = 0.0     # inside clusters
+    vals[rng.random(vals.shape) < 0.15] = -0.0
+    vals[4:6, 2:4] = -0.0
+    vals[:, 8] = -0.0                             # between clusters
+    vals[10, :] = 0.0
+    vals[14:17, 11:14] = -0.0                     # around a lone peak
+    vals[15, 12] = 2.0
+    zero = vals == 0
+    assert np.signbit(vals[zero]).any() and not np.signbit(vals[zero]).all()
+    dm = _dm(vals)
+    got = initial_clusters(dm, conn)
+    assert (got.ids[zero] == -1).all() and (got.ids[~zero] >= 0).all()
+    assert (got.ids == got.ids[15, 12]).sum() == 1
+    assert np.array_equal(got.ids, steepest_ascent_oracle(dm, conn).ids)
+    assert (dm.values.ravel()[got.peak_hint] > 0).all()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from([4, 8]))
 def test_initial_matches_oracle_property(seed, conn):
@@ -369,7 +394,7 @@ def test_roots_match_loop_oracle(band_count, dtype):
 
 def test_one_band_grid_memory_per_pixel(monkeypatch):
     # smoothing keeps one working grid beside its input, and initial
-    # clustering one bool pair, 32-bit links and their double buffer, and
+    # clustering a root flag, 32-bit links and their double buffer, and
     # the ids written over the ranks; block temporaries add a little
     monkeypatch.setattr(density, "usable_cpus", lambda: 1)
     size = 1000

@@ -1410,6 +1410,8 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     ("format", "xml", 1),
     ("input", 5, 1),               # not a file name
     ("width", None, 0),            # null means the key is absent
+    ("pixel_space", True, 1),      # a flag, but no config setting
+    ("merge_distnace", 2, 1),      # misspelt
 ])
 def test_cli_config_file_bad_values(tmp_path, key, value, code):
     cfg = tmp_path / "cfg.json"
