@@ -32,8 +32,8 @@ its time is the median of the five. For every timed command it records the
 cyclic garbage collector's pauses per call, from `gc.callbacks`: their ms
 (`<command>:gc`) and their number (`median_collections`). The map tables
 have two layers of their own: the row-run scanner (`clustering._scan_runs`,
-or `_runs` in trees without it), which every run, side and truncation scan
-goes through, and `clustering.ClusterMap._trace_rings`, which includes the
+or `_runs` in trees without it), which every run and truncation scan goes
+through (and, in trees that scan side maps, every side scan), and `clustering.ClusterMap._trace_rings`, which includes the
 boundary segment table it reads.
 
 A pair is four runs in ABBA order: the base, the change twice, the base

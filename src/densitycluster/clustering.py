@@ -112,7 +112,8 @@ class ClusterMap:
         Background runs are excluded. Runs are sorted by (val, row, x0), so
         the runs of one cluster form one contiguous slice.
         """
-        return _row_runs(self.ids)
+        ids2 = self.ids
+        return _scan_runs(*ids2.shape, lambda rows: ids2[rows])
 
     @cached_property
     def boundary(self) -> tuple[np.ndarray, ...]:
@@ -125,26 +126,33 @@ class ClusterMap:
         cluster form one contiguous slice. succ is the index of the first
         segment leaving the segment's end corner; pinch marks end corners
         (two diagonal pixels in, two out) where segment succ + 1 leaves too.
+
+        Built from the runs: a run's sides towards the rows before and after
+        it are its parts that no run of its cluster there covers, and its
+        first and last pixels have its left and right sides.
         """
-        ids2 = self.ids
-        h, w = ids2.shape
-        # the vertical sides run along the rows of the transposed map
-        cols = np.ascontiguousarray(ids2.T)
-        v0, r0, a0, b0 = _row_runs(ids2, -1)  # bottom sides, +x
-        v1, c1, a1, b1 = _row_runs(cols, 1)   # right sides, +y
-        v2, r2, a2, b2 = _row_runs(ids2, 1)   # top sides, -x
-        v3, c3, a3, b3 = _row_runs(cols, -1)  # left sides, -y
+        h, w = self.ids.shape
+        runs = val, row, x0, x1 = self.runs
+        # lo[k] is a run in the row before run hi[k]'s that overlaps it
+        hi, lo, n = _touching_runs(runs, h, w)
+        v0, r0, a0, b0 = _row_sides(runs, hi, lo, n)  # bottom sides, +x
+        v1, c1, a1, b1 = _column_sides(val, x1, row, h, w)  # right sides, +y
+        # top sides, -x
+        v2, r2, a2, b2 = _row_sides(runs, lo, hi, np.bincount(lo, minlength=val.size))
+        v3, c3, a3, b3 = _column_sides(val, x0, row, h, w)  # left sides, -y
         val = np.concatenate((v0, v1, v2, v3))
         direction = np.repeat(np.arange(4, dtype=np.int8),
                               (v0.size, v1.size, v2.size, v3.size))
-        sx = np.concatenate((a0, c1 + 1, b2, c3))
+        sx = np.concatenate((a0, c1, b2, c3))
         sy = np.concatenate((r0, a1, r2 + 1, b3))
-        ex = np.concatenate((b0, c1 + 1, a2, c3))
+        ex = np.concatenate((b0, c1, a2, c3))
         ey = np.concatenate((r0, b1, r2 + 1, a3))
 
-        # corner keys (val*(h+1) + y)*(w+1) + x increase with (val, y, x)
+        # corner keys (val*(h+1) + y)*(w+1) + x increase with (val, y, x);
+        # the sides are listed by direction, and a stable sort keeps the
+        # segments that leave one corner in that order
         start = (val * (h + 1) + sy) * (w + 1) + sx
-        order = np.lexsort((direction, start))
+        order = np.argsort(start, kind="stable")
         start = start[order]
         succ = np.searchsorted(start, ((val * (h + 1) + ey) * (w + 1) + ex)[order])
         pinch = np.append(start[1:] == start[:-1], False)[succ]
@@ -293,24 +301,61 @@ def _scan_runs(h: int, w: int, block_ids) -> tuple[np.ndarray, ...]:
     return val[order].astype(np.int64), row[order], x0, x0 + length[order]
 
 
-def _row_runs(ids2: np.ndarray, dy: int = 0) -> tuple[np.ndarray, ...]:
-    """ClusterMap.runs of a 2D id array; with dy != 0, of the array in which
-    a pixel keeps its id only where the pixel dy rows away (-1 beyond the
-    edge) holds a different one: the runs of boundary sides."""
-    h, w = ids2.shape
-    if not dy:
-        return _scan_runs(h, w, lambda rows: ids2[rows])
+def _touching_runs(runs: tuple[np.ndarray, ...], h: int, w: int,
+                   pad: int = 0) -> tuple[np.ndarray, ...]:
+    """(i, j, n) for the runs (val, row, x0, x1) of a map (h, w): the pairs
+    (i[k], j[k]) of same-cluster runs, j in the row before i's, whose spans
+    widened by pad pixels overlap, sorted by i; and n, the count of pairs
+    of each run i. With pad 0 the pairs are sorted by j alike, as the spans
+    of one row are disjoint."""
+    val, row, x0, x1 = runs
+    # Composite keys (val*(h+1) + row)*(w+2) + x increase strictly over the
+    # run table, and the row before row 0 maps to no row at all, so one
+    # searchsorted each way finds, for each run, the candidate range among
+    # its own cluster's runs in the row before: x1 > x0[i] - pad and
+    # x0 < x1[i] + pad.
+    base = np.int64(w + 2)
+    line = (val * (h + 1) + row) * base
+    first = np.searchsorted(line + x1, line - base + x0 - pad, side="right")
+    n = np.searchsorted(line + x0, line - base + x1 + pad, side="left") - first
+    i = np.repeat(np.arange(val.size), n)
+    return i, np.repeat(first - (np.cumsum(n) - n), n) + np.arange(i.size), n
 
-    def side(rows: slice) -> np.ndarray:
-        out = ids2[rows].copy()
-        # the rows whose row dy away exists
-        lo, hi = max(rows.start, -dy), min(rows.stop, h - dy)
-        if lo < hi:
-            np.copyto(out[lo - rows.start:hi - rows.start], -1,
-                      where=ids2[lo:hi] == ids2[lo + dy:hi + dy])
-        return out
 
-    return _scan_runs(h, w, side)
+def _row_sides(runs: tuple[np.ndarray, ...], run: np.ndarray, cover: np.ndarray,
+               n: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(val, row, a, b) of every maximal side that the runs (val, row, x0, x1)
+    show towards a neighbouring row: the parts [a, b) of each run that no run
+    of its cluster there covers. The runs cover[k] of that row overlap the
+    runs run[k], sorted by run and then by x; n counts them per run."""
+    val, row, x0, x1 = runs
+    # a run with n covering runs leaves n + 1 gaps: from x0 or the end of a
+    # covering run to the start of the next or x1; the empty ones are dropped
+    owner = np.repeat(np.arange(val.size), n + 1)
+    a, b = x0[owner], x1[owner]
+    slot = run + np.arange(run.size)  # the gap before each covering run
+    b[slot], a[slot + 1] = x0[cover], x1[cover]
+    keep = np.flatnonzero(a < b)
+    owner = owner[keep]
+    return val[owner], row[owner], a[keep], b[keep]
+
+
+def _column_sides(val: np.ndarray, x: np.ndarray, row: np.ndarray,
+                  h: int, w: int) -> tuple[np.ndarray, ...]:
+    """(val, x, y0, y1) of every maximal vertical side at corner column x of
+    a map (h, w), given the (val, x, row) of one end of every run: a run's
+    first pixel has a left side and its last pixel a right side."""
+    # keys (val*(w+1) + x)*(h+1) + row increase with (val, x, row), and the
+    # side of the next row in one column is one key on
+    key = (val * (w + 1) + x) * (h + 1) + row
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1] + 1, out=start[1:])
+    head = np.flatnonzero(start)
+    first = order[head]
+    y0 = row[first]
+    return val[first], x[first], y0, y0 + np.diff(head, append=key.size)
 
 
 def run_pixels(row: np.ndarray, x0: np.ndarray, x1: np.ndarray,
@@ -768,7 +813,8 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
     Pixels below truncation_ratio * peak_density(cluster) become background;
     any surviving fragment not connected to the peak is dropped; clusters with
     peak_density <= min_peak_density are removed entirely. Node areas are
-    updated and edges rebuilt from the truncated map.
+    updated and edges rebuilt from the truncated map, which carries the runs
+    that truncation found, so its tables need no scan of its ids.
     """
     d = density.values
     ids2 = cmap.ids
@@ -794,28 +840,15 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
 
     val, row, x0, x1 = _scan_runs(h, w, threshold)
 
-    # Same-cluster runs that touch in consecutive rows. Composite keys
-    # (val*(h+1) + row)*(w+2) + x increase strictly over the run table, and
-    # the row above row 0 maps to no row at all, so one global searchsorted
-    # finds, for each run, the candidate range among its own cluster's runs
-    # in the row above: x1 > x0[j] - pad and x0 < x1[j] + pad.
+    # same-cluster runs that touch in consecutive rows
     pad = 1 if params.connectivity == 8 else 0
-    base = np.int64(w + 2)
-    line = val * (h + 1) + row
-    tgt = (line - 1) * base
-    first = np.searchsorted(line * base + x1, tgt + x0 - pad, side="right")
-    last = np.searchsorted(line * base + x0, tgt + x1 + pad, side="left")
-    n_cand = last - first
-    below = np.repeat(np.arange(val.shape[0]), n_cand)
-    above = (np.repeat(first - (np.cumsum(n_cand) - n_cand), n_cand)
-             + np.arange(below.shape[0]))
-
+    below, above, _ = _touching_runs((val, row, x0, x1), h, w, pad)
     root = _components(val.shape[0], above, below)
 
     # the run holding each surviving peak
     live = np.flatnonzero(peak >= 0)
     py, px = np.divmod(peak[live], w)
-    at = np.searchsorted(line * base + x0, (live * (h + 1) + py) * base + px,
+    at = np.searchsorted((val * (h + 1) + row) * w + x0, (live * (h + 1) + py) * w + px,
                          side="right") - 1
     found = at >= 0
     a = at[found]
@@ -832,7 +865,11 @@ def truncate_clusters(density: DensityMap, cmap: ClusterMap, graph: ClusterGraph
     area = np.bincount(val[kept], weights=x1[kept] - x0[kept],
                        minlength=n_ids).astype(np.int64)
     out_edges = _boundary_edges(d, new2d, peak, params.connectivity)
-    return ClusterGraph(w, peak, peak_density, area, out_edges), ClusterMap(new2d)
+    out = ClusterMap(new2d)
+    # clearing a run leaves its row neighbours, all other ids, maximal: the
+    # kept runs are the runs of the new map
+    out.runs = val[kept], row[kept], x0[kept], x1[kept]
+    return ClusterGraph(w, peak, peak_density, area, out_edges), out
 
 
 def cluster_density_map(density: DensityMap,

@@ -612,6 +612,8 @@ def read_cluster_document(path) -> ClusterDocument:
         rings += chain.from_iterable(c.holes for c in clusters)
         if not set(map(type, rings)) <= {list}:
             raise DataError("cluster JSON: every ring must be a list of vertices")
+        if min(map(len, rings), default=3) < 3:
+            raise DataError("cluster JSON: every ring must have at least 3 vertices")
         # JSON spells a boolean `true` or `false`, so only a text holding one
         # of them needs a type pass over every number ("f" is one memchr: no
         # key or number that `cluster` writes holds an f)

@@ -146,6 +146,30 @@ def reference_side_runs(ids2: np.ndarray, dx: int, dy: int):
     return reference_runs(side.T if dx else side)
 
 
+def reference_boundary(ids2: np.ndarray):
+    """ClusterMap.boundary from the runs of four whole-map side maps: the
+    bottom, right, top and left sides of the pixels, the reference for the
+    boundary built from the map's runs."""
+    h, w = ids2.shape
+    v0, r0, a0, b0 = reference_side_runs(ids2, 0, -1)  # bottom sides, +x
+    v1, c1, a1, b1 = reference_side_runs(ids2, 1, 0)   # right sides, +y
+    v2, r2, a2, b2 = reference_side_runs(ids2, 0, 1)   # top sides, -x
+    v3, c3, a3, b3 = reference_side_runs(ids2, -1, 0)  # left sides, -y
+    val = np.concatenate((v0, v1, v2, v3))
+    direction = np.repeat(np.arange(4, dtype=np.int8),
+                          (v0.size, v1.size, v2.size, v3.size))
+    sx = np.concatenate((a0, c1 + 1, b2, c3))
+    sy = np.concatenate((r0, a1, r2 + 1, b3))
+    ex = np.concatenate((b0, c1 + 1, a2, c3))
+    ey = np.concatenate((r0, b1, r2 + 1, a3))
+    start = (val * (h + 1) + sy) * (w + 1) + sx
+    order = np.lexsort((direction, start))
+    start = start[order]
+    succ = np.searchsorted(start, ((val * (h + 1) + ey) * (w + 1) + ex)[order])
+    pinch = np.append(start[1:] == start[:-1], False)[succ]
+    return val[order], sx[order], sy[order], direction[order], succ, pinch
+
+
 @pytest.fixture(scope="session")
 def fixture_corpus():
     """(name, DensityMap, ClusterParams) triples exercised by corpus-wide checks."""

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from densitycluster.clustering import (NEIGHBOR_OFFSETS, ClusterMap,
-                                       ClusterParams, _components, _roots, _row_runs,
+                                       ClusterParams, _components, _roots,
                                        build_neighborhood_graph,
                                        cluster_density_map, initial_clusters,
                                        truncate_clusters, union_clusters)
@@ -26,7 +26,7 @@ from densitycluster.synth import random_mixture, sample_mixture
 
 from conftest import (BAND_SHAPES, assert_columns_match_nodes, brute_boundary_stats,
                       dumbbell, gaussian_map, naive_union, noisy_map, plateau_map,
-                      reference_runs, reference_side_runs, three_blob,
+                      reference_boundary, reference_runs, three_blob,
                       two_gauss_far, two_gauss_near, typed_nodes, uniform_map)
 
 
@@ -214,6 +214,27 @@ def test_union_and_truncate_band_count_invariant(band_count, params):
     assert merges and (kills or params.min_peak_density == 0)
 
 
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_truncated_map_carries_the_runs_of_its_ids(fixture_corpus, connectivity):
+    maps = [dm for dm, _ in _band_maps()][::2] + [dm for _, dm, _ in fixture_corpus]
+    merges = kills = 0
+    for dm in maps:
+        params = ClusterParams(connectivity=connectivity, truncation_ratio=0.4,
+                               merge_distance_px=2.0)
+        cmap = initial_clusters(dm, connectivity)
+        graph = build_neighborhood_graph(dm, cmap, connectivity)
+        merged, merged_map = union_clusters(graph, cmap, params)
+        # remove the clusters whose peak is at most the median peak
+        peaks = merged.peak_density[merged.peak >= 0]
+        params = replace(params, min_peak_density=float(np.median(peaks)))
+        _, out = truncate_clusters(dm, merged_map, merged, params)
+        assert "runs" in vars(out)  # handed over, not scanned again
+        assert _exact(out.runs) == _exact(ClusterMap(out.ids).runs), dm.values.shape
+        merges += len(merged.nodes) < len(graph.nodes)
+        kills += len(out.cluster_ids()) < len(merged.nodes)
+    assert merges and kills
+
+
 @st.composite
 def _id_maps(draw):
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
@@ -232,12 +253,10 @@ def _id_maps(draw):
 @given(_id_maps(), st.sampled_from([1, 2, 3, 7]))
 def test_row_runs_match_whole_map_reference(band_count, ids, count):
     band_count(count)
-    cols = np.ascontiguousarray(ids.T)
-    assert _exact(_row_runs(ids)) == _exact(reference_runs(ids))
-    for dy in (-1, 1):
-        assert _exact(_row_runs(ids, dy)) == _exact(reference_side_runs(ids, 0, dy)), dy
-        # sides across a column: the rows of the transposed map
-        assert _exact(_row_runs(cols, dy)) == _exact(reference_side_runs(ids, dy, 0)), dy
+    cmap = ClusterMap(ids)
+    assert _exact(cmap.runs) == _exact(reference_runs(ids))
+    # the boundary read from the runs, against four whole-map side scans
+    assert _exact(cmap.boundary) == _exact(reference_boundary(ids))
 
 
 @pytest.mark.parametrize("cpus", [2, 8])

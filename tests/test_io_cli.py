@@ -746,6 +746,22 @@ def test_cli_non_finite_outside_geometry_is_accepted(tmp_path, capsys, command,
         assert all("label" in c for c in merged["clusters"])
 
 
+@pytest.mark.parametrize("ring", [[], [[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]],
+                         ids=["no_vertex", "one_vertex", "two_vertices"])
+@pytest.mark.parametrize("where", ["outer", "holes"])
+@pytest.mark.parametrize("command", ["render", "sql", "label"])
+def test_cli_rings_of_fewer_than_three_vertices_are_data_errors(
+        tmp_path, capsys, command, where, ring):
+    # an empty ring would render as d="MZ", which SVG path grammar rejects
+    doc = json.loads(json.dumps(_FIXTURE_DOC))
+    _mutate(doc, ("clusters", 0, where), ring if where == "outer" else [ring])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(_doc_argv(command, tmp_path) + ["--cluster-json", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "every ring must have at least 3 vertices" in err and "Traceback" not in err
+
+
 def test_cli_sql_cluster_without_rects_is_data_error(tmp_path, capsys):
     # an empty cover is a fault of the document: exit 3, not the usage code 1
     doc = json.loads(json.dumps(_FIXTURE_DOC))

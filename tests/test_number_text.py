@@ -40,7 +40,7 @@ _ODD_LABELS = ["x", {"t": 0.5}, [["t"]], [["t", 0.5, 1]], [[0.5, "t"]],
 
 def _rings(numbers):
     return st.lists(st.lists(numbers, min_size=2, max_size=2)
-                    | st.tuples(numbers, numbers), max_size=6)
+                    | st.tuples(numbers, numbers), min_size=3, max_size=6)
 
 
 @st.composite
